@@ -1,0 +1,7 @@
+"""Puts the checkout's program source and the benchmark's modules on the path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
