@@ -415,8 +415,9 @@ def _render_operand(child, parent_op: str) -> str:
     return text
 
 
-_FLIP = {"<": ">", "<=": ">=", ">": ">", ">=": ">=", "==": "==", "!=": "!="}
 NEGATE_CMP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+# the operator that keeps a comparison true with its operands swapped
+FLIP_CMP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _fold(expr):
@@ -463,7 +464,7 @@ def normalize(expr):
         left, right, op = expr.left, expr.right, expr.op
         if op in ("<", "<="):
             left, right = right, left
-            op = _FLIP[expr.op]
+            op = FLIP_CMP[expr.op]
         if op in ("==", "!=") and render(right) < render(left):
             left, right = right, left
         return Cmp(op, left, right)

@@ -188,10 +188,6 @@ def parse_test_script(text: str):
 # -- cross-validation --
 
 
-def _dtype_label(d: DType) -> str:
-    return d.name
-
-
 def _check_params(spec: OpSpec, kernel: KernelIR, src: str):
     spec_inputs = list(spec.inputs)
     kern_inputs = list(kernel.inputs)
@@ -205,8 +201,8 @@ def _check_params(spec: OpSpec, kernel: KernelIR, src: str):
         want_container = "tensor" if sp.container == "file-path" else sp.container
         if kp.container != want_container or sp.dtype != kp.dtype:
             raise CorpusError(
-                f"{src}: {spec.name}.{sp.name} is {sp.container}/{_dtype_label(sp.dtype)}"
-                f" but kernel declares {kp.container}/{_dtype_label(kp.dtype)}"
+                f"{src}: {spec.name}.{sp.name} is {sp.container}/{sp.dtype.name}"
+                f" but kernel declares {kp.container}/{kp.dtype.name}"
             )
         if sp.container == "resource" and sp.entity != kp.entity:
             raise CorpusError(f"{src}: {spec.name}.{sp.name} entity {sp.entity!r} != kernel {kp.entity!r}")
@@ -220,8 +216,8 @@ def _check_params(spec: OpSpec, kernel: KernelIR, src: str):
     for sp, kp in zip(spec_attrs, kern_attrs):
         if sp.dtype != kp.dtype:
             raise CorpusError(
-                f"{src}: {spec.name}.{sp.name} attr type {_dtype_label(sp.dtype)}"
-                f" != kernel {_dtype_label(kp.dtype)}"
+                f"{src}: {spec.name}.{sp.name} attr type {sp.dtype.name}"
+                f" != kernel {kp.dtype.name}"
             )
     spec_outs = {o.name for o in spec.outputs}
     kern_outs = {name for name, _ in kernel.outputs}

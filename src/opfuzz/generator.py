@@ -6,6 +6,18 @@ substituted in), then runs a bounded repair fixpoint.  Violation
 probes flip exactly one active constraint to exercise rejection
 handling.  The random baseline draws structure and values from wide
 distributions with no knowledge of constraints.
+
+The data template fixes the parameter order and the choice vectors before
+the first draw, so the guided generator compiles them into solve plans,
+built lazily and kept for the generator's life.  Per choice vector it
+keeps the active constraints; per (param, names already bound) it keeps
+the constraints that resolve for the param and the bound atoms their
+residuals fold to literals; and per plan a memo maps those atoms' values
+to the hints read from the residuals, whose candidate pools are cached in
+turn.  A draw then only evaluates atoms, consumes the rng and tests
+candidates, in the same order as without plans, so reports do not change.
+Repair's first pass skips the constraints a param's solve already saw
+hold.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from .constraints import (
     Constraint,
     ConstraintTree,
     Dim,
+    FLIP_CMP,
     Forall,
     Lit,
     NEGATE_CMP,
@@ -175,10 +188,7 @@ def build_control_template(corpus, op: str) -> ControlTemplate:
 
 
 def _choice_vectors(n_guards: int, cap: int = 16) -> tuple:
-    if n_guards == 0:
-        return ((),)
-    vectors = list(itertools.product((True, False), repeat=n_guards))
-    return tuple(vectors[:cap])
+    return tuple(itertools.islice(itertools.product((True, False), repeat=n_guards), cap))
 
 
 def _guards_dfs(tree: ConstraintTree) -> list:
@@ -196,12 +206,13 @@ def _guards_dfs(tree: ConstraintTree) -> list:
 def build_data_template(corpus, op: str) -> DataTemplate:
     spec = corpus.spec_for(op)
     tree = corpus.tree_for(op)
+    branches = _guards_dfs(tree)
     return DataTemplate(
         op=op,
         order=tuple(toposort_params(tree, spec)),
         constraints=list(tree.constraints),
-        guards=[br.guard for br in _guards_dfs(tree)],
-        vectors=_choice_vectors(len(_guards_dfs(tree))),
+        guards=[br.guard for br in branches],
+        vectors=_choice_vectors(len(branches)),
     )
 
 
@@ -245,6 +256,68 @@ def _substitute_bound(expr, bound: dict, keep: str):
     return sub(expr)
 
 
+def _fold_atoms(expr, bound, keep: str) -> tuple:
+    """The atoms `_substitute_bound(expr, ...)` replaces with literals, given
+    only the names in `bound`: the residual is fixed by their values."""
+
+    def folds(e) -> bool:
+        if isinstance(e, Lit):
+            return True
+        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
+            return e.param != keep and e.param in bound
+        if isinstance(e, Val):
+            return e.param != keep and e.param in bound and all(folds(i) for i in e.idxs)
+        return False
+
+    out = []
+
+    def walk(e):
+        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
+            if folds(e):
+                out.append(e)
+        elif isinstance(e, Val):
+            if folds(e):
+                out.append(e)  # evaluating it evaluates its folded indices too
+            else:
+                for i in e.idxs:
+                    walk(i)
+        elif isinstance(e, (Arith, Cmp)):
+            walk(e.left)
+            walk(e.right)
+        elif isinstance(e, Forall):
+            walk(e.lo)
+            walk(e.hi)
+            walk(e.body)
+
+    walk(expr)
+    return tuple(out)
+
+
+_DEAD = object()  # fold-key entry: a bound atom failed, so the residual is dropped
+
+
+def _value_key(v):
+    """A memo key part that tells 1, True and 1.0 apart, and 0.0 from -0.0."""
+    t = type(v)
+    if t is int or t is str:
+        return v
+    return (t, repr(v)) if t is float else (t, v)
+
+
+def _fold_key(folds, bound: dict) -> tuple:
+    """The folded atoms' values: equal keys give equal residuals."""
+    key = []
+    for atoms in folds:
+        mark = len(key)
+        try:
+            for atom in atoms:
+                key.append(_value_key(_eval_value(atom, bound, {})))
+        except _EvalFail:
+            del key[mark:]
+            key.append(_DEAD)
+    return tuple(key)
+
+
 _INF = float("inf")
 
 
@@ -255,6 +328,9 @@ class _Range:
     pins: list = field(default_factory=list)
     avoids: set = field(default_factory=set)
     moduli: list = field(default_factory=list)
+    # candidate pools drawn from this range; a range shared through a solve
+    # plan's memo is never bounded again, so they stay valid
+    pools: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bound(self, op: str, v):
         if op == "==":
@@ -290,10 +366,51 @@ class _TensorHints:
     at_index: dict = field(default_factory=dict)  # const idx tuple -> _Range
     val_arities: set = field(default_factory=set)
     max_dim_axis: int | None = None  # highest axis any dim() atom touches
-    ndim_referenced: bool = False
+    pools: dict = field(default_factory=dict, repr=False, compare=False)  # as on _Range
 
     def dim(self, axis: int) -> _Range:
         return self.dims.setdefault(axis, _Range())
+
+    def rank_pool(self, ndim_referenced: bool) -> list:
+        """Ranks to draw from; a single entry is taken without the rng."""
+        key = ("rank", ndim_referenced)
+        pool = self.pools.get(key)
+        if pool is None:
+            pool = self.pools[key] = self._rank_pool(ndim_referenced)
+        return pool
+
+    def _rank_pool(self, ndim_referenced: bool) -> list:
+        r = self.rank
+        # dim(p, k) references only evaluate when rank > k
+        floor = 0 if self.max_dim_axis is None else self.max_dim_axis + 1
+        pins = [v for v in r.pins if r.admits(v) and 0 <= v <= 6]
+        if pins:
+            return pins
+        if len(self.val_arities) == 1:
+            arity = next(iter(self.val_arities))
+            if r.admits(arity) and arity >= floor:
+                return [arity]
+        base = (1, 2) if ndim_referenced else (0, 1, 2)
+        pool = [v for v in base if r.admits(v) and v >= floor]
+        return pool or [v for v in range(floor, 7) if r.admits(v)] or [max(floor, 1)]
+
+    def size_pins(self) -> list:
+        pins = self.pools.get("size_pins")
+        if pins is None:
+            pins = self.pools["size_pins"] = [v for v in self.size.pins if self.size.admits(v)]
+        return pins
+
+    def axis_pool(self, axis: int) -> list:
+        """Extents to draw for one axis of a shape."""
+        key = ("axis", axis)
+        pool = self.pools.get(key)
+        if pool is None:
+            pool = _int_candidates(self.dims.get(axis, _Range()), EXTENT_SPECIALS)
+            pool = [v for v in pool if v >= 0] or [1]
+            if self.size.lo >= 1 or self.size_pins() or self.elems.pins or self.at_index:
+                pool = [v for v in pool if v > 0] or pool
+            self.pools[key] = pool
+        return pool
 
 
 def _hint_cmp(hints: _TensorHints, scalar: _Range, op: str, left, right, keep: str):
@@ -303,7 +420,7 @@ def _hint_cmp(hints: _TensorHints, scalar: _Range, op: str, left, right, keep: s
 
     if not is_keep_atom(left) and is_keep_atom(right):
         left, right = right, left
-        op = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}[op]
+        op = FLIP_CMP[op]
     if not isinstance(right, Lit):
         return _hint_modulo(hints, left, right, op, keep)
     v = right.value
@@ -362,8 +479,7 @@ def _collect_hints(exprs, keep: str) -> tuple:
                 hints.elems.bound(op, right.value)
                 hints.val_arities.add(1)
             elif keep_val(right) and isinstance(left, Lit):
-                flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}[op]
-                hints.elems.bound(flipped, left.value)
+                hints.elems.bound(FLIP_CMP[op], left.value)
                 hints.val_arities.add(1)
         for atom in _walk_atoms(e):
             if isinstance(atom, Val) and atom.param == keep:
@@ -416,7 +532,20 @@ def _string_literals(tree: ConstraintTree) -> list:
 # -- candidate drawing --
 
 
-def _int_candidates(rng, rng_range: _Range, specials) -> list:
+def _cached_pool(build):
+    """Cache `build(range, key, ...)` in `range.pools` under `key`."""
+
+    def cached(rng_range: _Range, key, *rest) -> list:
+        pool = rng_range.pools.get(key)
+        if pool is None:
+            pool = rng_range.pools[key] = build(rng_range, key, *rest)
+        return pool
+
+    return cached
+
+
+@_cached_pool
+def _int_candidates(rng_range: _Range, specials) -> list:
     lo, hi = rng_range.lo, rng_range.hi
     pins = [p for p in rng_range.pins if rng_range.admits(p)]
     if pins:
@@ -439,9 +568,10 @@ def _draw(rng, pool):
     return pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
 
 
-def _elem_pool(rng, dtype: DType, erange: _Range, string_pool) -> list:
+@_cached_pool
+def _elem_pool(erange: _Range, dtype: DType, string_pool) -> list:
     if dtype is DType.DT_INT64:
-        return _int_candidates(rng, erange, INT_SPECIALS)
+        return _int_candidates(erange, INT_SPECIALS)
     if dtype is DType.DT_FLOAT:
         pins = [p for p in erange.pins if erange.admits(p)]
         if pins:
@@ -460,11 +590,78 @@ def _elem_pool(rng, dtype: DType, erange: _Range, string_pool) -> list:
     raise ValueError(f"no element pool for {dtype}")
 
 
+@_cached_pool
+def _scalar_pool(scalar: _Range, dtype: DType, string_pool) -> list:
+    if dtype is DType.INT:
+        return _int_candidates(scalar, INT_SPECIALS)
+    if dtype is DType.FLOAT:
+        pins = [v for v in scalar.pins if scalar.admits(v)]
+        return pins or [v for v in FLOAT_SPECIALS if scalar.admits(v)] or [0.0]
+    if dtype is DType.STRING:
+        pins = [v for v in scalar.pins if v not in scalar.avoids]
+        return pins or [s for s in string_pool if s not in scalar.avoids] or ["x"]
+    if dtype is DType.BOOL:
+        pins = [v for v in scalar.pins if v not in scalar.avoids]
+        return pins or [True, False]
+    raise ValueError(f"no scalar draw for {dtype}")
+
+
+# -- solve plans --
+
+
+@dataclass
+class _SolvePlan:
+    """What solving one param against fixed exprs and bound names needs,
+    beyond the bound values themselves."""
+
+    resolved: list  # exprs over the param whose other params are all bound
+    folds: tuple  # per resolved expr, its atoms over bound params
+    ndim_referenced: bool  # some expr, resolved or not, reads ndim(param)
+    memo: dict = field(default_factory=dict)  # fold key -> (tensor hints, scalar range)
+
+
+class _ExprPlans:
+    """The solve plans over one fixed list of constraint expressions,
+    built on first use per (param, names already bound)."""
+
+    def __init__(self, exprs: list, param_names, order_index: dict):
+        self.exprs = exprs
+        self.params = [params_of(e) & param_names for e in exprs]
+        # each expr's latest-ordered param, the one repair re-solves
+        self.lasts = [max(ps, key=order_index.__getitem__) if ps else None for ps in self.params]
+        self.ndim_params = {a.param for e in exprs for a in _walk_atoms(e) if isinstance(a, Ndim)}
+        self.plans: dict = {}
+
+    def plan(self, name: str, bound: dict) -> _SolvePlan:
+        names = frozenset(bound)
+        plan = self.plans.get((name, names))
+        if plan is None:
+            resolved = [e for e, ps in zip(self.exprs, self.params) if name in ps and ps - {name} <= names]
+            folds = tuple(_fold_atoms(e, names, name) for e in resolved)
+            plan = self.plans[(name, names)] = _SolvePlan(resolved, folds, name in self.ndim_params)
+        return plan
+
+
+@dataclass
+class _VectorPlan:
+    """One choice vector's active sets and the plans over them."""
+
+    validation: list
+    plans: _ExprPlans  # over the validation exprs, then the guard pins
+    probes: dict = field(default_factory=dict)  # validation index -> plans with it negated
+
+
 # -- the guided generator --
 
 
 class GuidedGenerator:
-    """Per-operator guided input factory; deterministic given an rng."""
+    """Per-operator guided input factory; deterministic given an rng.
+
+    Everything a draw needs that the data template fixes (the active
+    constraints of each choice vector, which of them resolve for each
+    param, and the hints read from them) is built once and cached in solve
+    plans; a draw then only consumes the rng and tests candidates.
+    """
 
     RETRIES = 6
     REPAIR_PASSES = 8
@@ -477,7 +674,10 @@ class GuidedGenerator:
         self.control = build_control_template(corpus, op)
         self.data = build_data_template(corpus, op)
         self.string_pool = tuple(_string_literals(self.tree)) + STRING_DEFAULTS
-        self.param_names = {p.name for p in self.spec.params}
+        self.params = {p.name: p for p in self.spec.params}
+        self.param_names = set(self.params)
+        self.order_index = {n: i for i, n in enumerate(self.data.order)}
+        self.vector_plans: dict = {}  # vector index -> _VectorPlan
 
     @property
     def n_vectors(self) -> int:
@@ -507,30 +707,31 @@ class GuidedGenerator:
         walk(self.tree.branches, True)
         return validation, pins
 
+    def plans_over(self, exprs: list) -> _ExprPlans:
+        return _ExprPlans(exprs, self.param_names, self.order_index)
+
+    def vector_plan(self, vec_index: int) -> _VectorPlan:
+        vp = self.vector_plans.get(vec_index)
+        if vp is None:
+            validation, pins = self.active_sets(self.data.vectors[vec_index])
+            plans = self.plans_over([c.expr for c in validation] + pins)
+            vp = self.vector_plans[vec_index] = _VectorPlan(validation, plans)
+        return vp
+
     def generate(self, rng, iteration: int) -> tuple:
         """Returns (binding, vector index used)."""
         vec_index = (iteration - 1) % self.n_vectors
-        vector = self.data.vectors[vec_index]
-        validation, pins = self.active_sets(vector)
-        exprs = [c.expr for c in validation] + pins
+        plans = self.vector_plan(vec_index).plans
         binding = {}
+        settled = set()
         for name in self.data.order:
-            binding[name] = self._solve_param(rng, name, exprs, binding)
-        self.repair(rng, binding, exprs)
+            binding[name], held = self._solve_param(rng, name, plans, binding)
+            if held:
+                settled.add(name)
+        self.repair(rng, binding, plans, settled)
         return binding, vec_index
 
     # solving
-
-    def _resolved_for(self, name: str, exprs, bound: dict) -> list:
-        out = []
-        for e in exprs:
-            ps = params_of(e) & self.param_names
-            if name not in ps:
-                continue
-            if not (ps - {name} <= set(bound)):
-                continue
-            out.append(e)
-        return out
 
     def _residuals(self, name: str, resolved, bound: dict) -> list:
         residuals = []
@@ -541,33 +742,44 @@ class GuidedGenerator:
                 continue  # dead constraint: an already-bound atom cannot evaluate
         return residuals
 
+    def _hints(self, plan: _SolvePlan, name: str, bound: dict) -> tuple:
+        """(tensor hints, scalar range) for `name` under `bound`, from the memo
+        when the folded atoms had these values before."""
+        key = _fold_key(plan.folds, bound)
+        try:
+            hit = plan.memo.get(key)
+        except TypeError:  # an unhashable bound value: solve without the memo
+            return _collect_hints(self._residuals(name, plan.resolved, bound), name)
+        if hit is None:
+            hit = plan.memo[key] = _collect_hints(self._residuals(name, plan.resolved, bound), name)
+        return hit
+
     def _test(self, name: str, value, resolved, bound: dict) -> int:
         trial = dict(bound)
         trial[name] = value
         return sum(1 for e in resolved if evaluate(e, trial))
 
-    def _solve_param(self, rng, name: str, exprs, bound: dict):
-        p = self.spec.param(name)
+    def _solve_param(self, rng, name: str, plans: _ExprPlans, bound: dict) -> tuple:
+        """(value, whether it met every expr resolved for it)."""
+        p = self.params[name]
         if p.container == "resource":
-            return self._draw_resource(rng, p)
-        resolved = self._resolved_for(name, exprs, bound)
-        residuals = self._residuals(name, resolved, bound)
-        ndim_referenced = any(
-            isinstance(a, Ndim) and a.param == name for e in exprs for a in _walk_atoms(e)
-        )
+            return self._draw_resource(rng, p), False
+        plan = plans.plan(name, bound)
+        resolved = plan.resolved
+        hints, scalar = self._hints(plan, name, bound)
         best = None
         best_score = -1
         for _ in range(self.RETRIES):
             if p.role == "attr":
-                value = self._draw_scalar(rng, p.dtype, residuals, name)
+                value = _draw(rng, _scalar_pool(scalar, p.dtype, self.string_pool))
             else:
-                value = self._draw_tensor(rng, p, residuals, name, ndim_referenced)
+                value = self._draw_tensor(rng, p, hints, plan.ndim_referenced)
             score = self._test(name, value, resolved, bound)
             if score > best_score:
                 best, best_score = value, score
             if score == len(resolved):
                 break
-        return best
+        return best, best_score == len(resolved)
 
     def _draw_resource(self, rng, p) -> ResourceRef:
         wired = p.name in self.control.producers
@@ -580,62 +792,18 @@ class GuidedGenerator:
             state = ("null", "fresh", "filled", "closed")[rng.randrange(4)]
         return ResourceRef(p.entity, state)
 
-    def _draw_scalar(self, rng, dtype: DType, residuals, name: str):
-        _, scalar = _collect_hints(residuals, name)
-        if dtype is DType.INT:
-            return _draw(rng, _int_candidates(rng, scalar, INT_SPECIALS))
-        if dtype is DType.FLOAT:
-            pins = [v for v in scalar.pins if scalar.admits(v)]
-            pool = pins or [v for v in FLOAT_SPECIALS if scalar.admits(v)] or [0.0]
-            return _draw(rng, pool)
-        if dtype is DType.STRING:
-            pins = [v for v in scalar.pins if v not in scalar.avoids]
-            pool = pins or [s for s in self.string_pool if s not in scalar.avoids] or ["x"]
-            return _draw(rng, pool)
-        if dtype is DType.BOOL:
-            pins = [v for v in scalar.pins if v not in scalar.avoids]
-            return _draw(rng, pins or [True, False])
-        raise ValueError(f"no scalar draw for {dtype}")
-
-    def _draw_tensor(self, rng, p, residuals, name: str, ndim_referenced: bool):
-        hints, _ = _collect_hints(residuals, name)
-        rank = self._draw_rank(rng, hints, ndim_referenced)
+    def _draw_tensor(self, rng, p, hints: _TensorHints, ndim_referenced: bool):
+        rank = _draw(rng, hints.rank_pool(ndim_referenced))
         shape = self._draw_shape(rng, hints, rank)
         return self._fill_elements(rng, p, shape, hints)
-
-    def _draw_rank(self, rng, hints: _TensorHints, ndim_referenced: bool) -> int:
-        r = hints.rank
-        # dim(p, k) references only evaluate when rank > k
-        floor = 0 if hints.max_dim_axis is None else hints.max_dim_axis + 1
-        pins = [v for v in r.pins if r.admits(v) and 0 <= v <= 6]
-        if pins:
-            return _draw(rng, pins)
-        if len(hints.val_arities) == 1:
-            arity = next(iter(hints.val_arities))
-            if r.admits(arity) and arity >= floor:
-                return arity
-        base = (1, 2) if ndim_referenced else (0, 1, 2)
-        pool = [v for v in base if r.admits(v) and v >= floor]
-        if not pool:
-            pool = [v for v in range(floor, 7) if r.admits(v)] or [max(floor, 1)]
-        return _draw(rng, pool)
 
     def _draw_shape(self, rng, hints: _TensorHints, rank: int) -> tuple:
         if rank == 0:
             return ()
         size = hints.size
-        size_pins = [v for v in size.pins if size.admits(v)]
-        need_nonzero = size.lo >= 1 or size_pins or hints.elems.pins or hints.at_index
+        size_pins = hints.size_pins()
         for _ in range(8):
-            shape = []
-            for axis in range(rank):
-                d = hints.dims.get(axis, _Range())
-                pool = _int_candidates(rng, d, EXTENT_SPECIALS)
-                pool = [v for v in pool if v >= 0] or [1]
-                if need_nonzero:
-                    nz = [v for v in pool if v > 0]
-                    pool = nz or pool
-                shape.append(_draw(rng, pool))
+            shape = [_draw(rng, hints.axis_pool(axis)) for axis in range(rank)]
             if size_pins:
                 shape = self._fit_size(shape, hints, size_pins[0])
                 if shape is None:
@@ -686,7 +854,7 @@ class GuidedGenerator:
             if 0 <= size <= DENSE_ELEMENT_LIMIT:
                 return TensorVal(p.dtype, shape, data=[label] * size)
             return TensorVal(p.dtype, shape, fill=label)
-        pool = _elem_pool(rng, p.dtype, hints.elems, self.string_pool)
+        pool = _elem_pool(hints.elems, p.dtype, self.string_pool)
         if 0 <= size <= DENSE_ELEMENT_LIMIT:
             data = [_draw(rng, pool) for _ in range(size)]
             t = TensorVal(p.dtype, shape, data=data)
@@ -696,43 +864,54 @@ class GuidedGenerator:
             flat = _flat_of(shape, idx)
             if flat is None:
                 continue
-            sub = _elem_pool(rng, p.dtype, erange, self.string_pool)
+            sub = _elem_pool(erange, p.dtype, self.string_pool)
             t.flat_set(flat, _draw(rng, sub))
         return t
 
     # repair
 
-    def repair(self, rng, binding: dict, exprs) -> bool:
-        """Bounded fixpoint: re-solve the latest-ordered param of each
-        violated constraint.  True when everything holds at exit."""
-        order_index = {n: i for i, n in enumerate(self.data.order)}
+    def repair(self, rng, binding: dict, exprs, settled=frozenset()) -> bool:
+        """Bounded fixpoint: re-solve the latest-ordered param of the first
+        violated constraint.  True when everything holds at exit.
+
+        `exprs` is a list of constraint expressions or the `_ExprPlans`
+        over one.  The first pass takes as holding every expr whose
+        latest-ordered param is in `settled`: that param's solve already
+        tested it on these values, and every test passed.
+        """
+        plans = exprs if isinstance(exprs, _ExprPlans) else self.plans_over(list(exprs))
         for _ in range(self.REPAIR_PASSES):
-            violated = [e for e in exprs if not evaluate(e, binding)]
-            if not violated:
+            first = next(
+                (
+                    i
+                    for i, (e, last) in enumerate(zip(plans.exprs, plans.lasts))
+                    if last not in settled and not evaluate(e, binding)
+                ),
+                None,
+            )
+            if first is None:
                 return True
-            e = violated[0]
-            ps = sorted(params_of(e) & self.param_names, key=lambda n: order_index[n])
-            if not ps:
+            target = plans.lasts[first]
+            if target is None:
                 return False  # constant-false constraint; nothing to adjust
-            target = ps[-1]
             others = {k: v for k, v in binding.items() if k != target}
-            binding[target] = self._solve_param(rng, target, exprs, others)
-        return not [e for e in exprs if not evaluate(e, binding)]
+            binding[target], _ = self._solve_param(rng, target, plans, others)
+            settled = frozenset()
+        return all(evaluate(e, binding) for e in plans.exprs)
 
     # violation probes
 
     def make_violation(self, rng, binding: dict, vec_index: int, probe_counter: int):
         """Flip exactly one active validation constraint; None if impossible."""
-        vector = self.data.vectors[vec_index % self.n_vectors]
-        validation, pins = self.active_sets(vector)
-        targets = [c for c in validation if not c.is_unliftable]
+        vp = self.vector_plan(vec_index % self.n_vectors)
+        targets = vp.validation  # active_sets leaves out unliftable constraints
         if not targets:
             return None
-        all_exprs = [c.expr for c in validation] + pins
-        order_index = {n: i for i, n in enumerate(self.data.order)}
+        all_exprs = vp.plans.exprs
         for k in range(len(targets)):
-            c = targets[(probe_counter + k) % len(targets)]
-            mutated = self._violate_one(rng, binding, c, all_exprs, order_index)
+            i = (probe_counter + k) % len(targets)
+            c = targets[i]
+            mutated = self._violate_one(rng, binding, vp, i)
             if mutated is None:
                 continue
             others_hold = all(evaluate(e, mutated) for e in all_exprs if e is not c.expr)
@@ -740,21 +919,22 @@ class GuidedGenerator:
                 return mutated, c
         return None
 
-    def _violate_one(self, rng, binding: dict, c: Constraint, all_exprs, order_index):
-        expr = c.expr
-        ps = sorted(params_of(expr) & self.param_names, key=lambda n: order_index[n])
-        if not ps:
+    def _violate_one(self, rng, binding: dict, vp: _VectorPlan, i: int):
+        expr = vp.validation[i].expr
+        target = vp.plans.lasts[i]  # the validation exprs lead the plans' list
+        if target is None:
             return None
-        target = ps[-1]
         new = dict(binding)
         if isinstance(expr, Forall):
             return self._violate_forall(rng, new, expr)
         if not isinstance(expr, Cmp):
             return None
-        negated = Cmp(NEGATE_CMP[expr.op], expr.left, expr.right)
-        exprs = [e for e in all_exprs if e is not expr] + [negated]
+        plans = vp.probes.get(i)
+        if plans is None:
+            negated = Cmp(NEGATE_CMP[expr.op], expr.left, expr.right)
+            plans = vp.probes[i] = self.plans_over([e for e in vp.plans.exprs if e is not expr] + [negated])
         others = {k: v for k, v in new.items() if k != target}
-        new[target] = self._solve_param(rng, target, exprs, others)
+        new[target], _ = self._solve_param(rng, target, plans, others)
         return new
 
     def _violate_forall(self, rng, new: dict, expr: Forall):
@@ -778,9 +958,9 @@ class GuidedGenerator:
                 other = Lit(_eval_value(other, new, {}))
             except Exception:
                 return None
-        op = body.op if val_atom is body.left else {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}[body.op]
+        op = body.op if val_atom is body.left else FLIP_CMP[body.op]
         erange.bound(NEGATE_CMP[op], other.value)
-        pool = _elem_pool(rng, tensor.dtype, erange, self.string_pool)
+        pool = _elem_pool(erange, tensor.dtype, self.string_pool)
         bad = _draw(rng, pool)
         clone = _clone_tensor(tensor)
         clone.flat_set(0, bad)

@@ -31,16 +31,6 @@ class DType(enum.Enum):
         return self.name.startswith("DT_") and self is not DType.DT_RESOURCE
 
 
-SCALAR_DTYPES = {DType.BOOL, DType.INT, DType.FLOAT, DType.STRING}
-
-# element type carried by each tensor dtype
-TENSOR_ELEM = {
-    DType.DT_INT64: "int",
-    DType.DT_FLOAT: "float",
-    DType.DT_STRING: "str",
-    DType.DT_BOOL: "bool",
-}
-
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
@@ -123,10 +113,6 @@ class TensorVal:
             self.data[idx] = value
         else:
             self.overrides[idx] = value
-
-    def is_uniform(self) -> bool:
-        """True when every element provably equals one value (lazy, untouched)."""
-        return self.data is None and not self.overrides
 
     def __eq__(self, other):
         if not isinstance(other, TensorVal):

@@ -507,8 +507,9 @@ def compare_reports(guided: dict, random_report: dict) -> tuple:
     g_tl, r_tl = guided["timeline"], random_report["timeline"]
     if g_tl["checkpoints"] != r_tl["checkpoints"]:
         return 1, ["timeline checkpoints differ"]
+    # a `both` report keeps its guided timeline under "blocks"
     g_blocks = g_tl.get("blocks", g_tl.get("guided_blocks"))
-    r_blocks = r_tl.get("blocks", r_tl.get("random_blocks"))
+    r_blocks = r_tl.get("random_blocks", r_tl.get("blocks"))
     for c, gv, rv in zip(g_tl["checkpoints"], g_blocks, r_blocks):
         ok = gv >= rv
         lines.append(f"{'PASS' if ok else 'FAIL'} timeline@{c}: guided {gv} >= random {rv}")

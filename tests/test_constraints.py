@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opfuzz.constraints import (
+    CMP_OPS,
+    FLIP_CMP,
     Arith,
     AttrRef,
     Cmp,
@@ -180,6 +182,20 @@ def test_negation_table_is_involutive():
     for op, neg in NEGATE_CMP.items():
         assert NEGATE_CMP[neg] == op
         assert neg != op
+
+
+def test_flip_table_is_an_involution():
+    assert sorted(FLIP_CMP) == sorted(CMP_OPS)
+    for op, flipped in FLIP_CMP.items():
+        assert FLIP_CMP[flipped] == op
+
+
+def test_flip_table_swaps_operands():
+    for op in CMP_OPS:
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                want = evaluate(Cmp(op, Lit(a), Lit(b)), {})
+                assert evaluate(Cmp(FLIP_CMP[op], Lit(b), Lit(a)), {}) == want, (a, op, b)
 
 
 # -- text format round trips --

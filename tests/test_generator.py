@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from opfuzz.constraints import evaluate, evaluate_tree, params_of
+from opfuzz.constraints import AttrRef, Cmp, evaluate, evaluate_tree, params_of, parse_constraint
 from opfuzz.corpus import encode_binding
 from opfuzz.generator import (
     GuidedGenerator,
+    _ExprPlans,
     _choice_vectors,
     build_control_template,
     build_data_template,
@@ -16,7 +17,7 @@ from opfuzz.generator import (
     describe_templates,
     generate_random,
 )
-from opfuzz.kernel.ir import ResourceRef, TensorVal
+from opfuzz.kernel.ir import DType, ResourceRef, TensorVal
 from opfuzz.kernel.vm import HandleTable, execute
 
 NO_RESOURCE_OPS = None  # filled by fixture below
@@ -101,6 +102,7 @@ def test_choice_vectors_cover_guards(corpus):
 def test_choice_vectors_cap():
     assert len(_choice_vectors(2)) == 4
     assert len(_choice_vectors(5)) == 16  # capped product
+    assert len(_choice_vectors(40)) == 16  # the 2**40 product is never built
     assert tuple(_choice_vectors(0)) == ((),)
 
 
@@ -226,6 +228,53 @@ def test_violation_round_robins_over_targets(corpus):
     assert len(hit) == 2  # both requires get their turn
 
 
+# -- solve plans --
+
+
+def _draws(gen, seed: int, rounds: int) -> list:
+    """Encoded bindings and probes of `rounds` passes over every vector."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(1, rounds * gen.n_vectors + 1):
+        binding, vec_index = gen.generate(rng, i)
+        out.append(encode_binding(binding))
+        probe = gen.make_violation(rng, binding, vec_index, i)
+        out.append(None if probe is None else (encode_binding(probe[0]), id(probe[1])))
+    return out
+
+
+def test_warm_plans_draw_like_fresh_ones(corpus):
+    for spec in corpus.registry.testable:
+        warm = GuidedGenerator(corpus, spec.name)
+        rng = random.Random(5)
+        for vec_index in reversed(range(warm.n_vectors)):
+            # repair first, so its plans (all params but one bound) come before generate's
+            warm.repair(rng, generate_random(spec, rng), warm.vector_plan(vec_index).plans)
+            binding, _ = warm.generate(rng, vec_index + 1)
+            for k in range(3):
+                warm.make_violation(rng, binding, vec_index, k)
+        assert warm.vector_plans
+        # both read the corpus's constraint objects, so probe targets compare by id
+        assert _draws(warm, 21, 3) == _draws(GuidedGenerator(corpus, spec.name), 21, 3), spec.name
+
+
+def test_solve_memo_keeps_equal_but_distinct_values_apart(corpus):
+    gen = GuidedGenerator(corpus, "MatrixDet")
+    plans = _ExprPlans([Cmp("==", AttrRef("b"), AttrRef("a"))], {"a", "b"}, {"a": 0, "b": 1})
+    values = [1, True, 1.0, 0.0, -0.0]
+    for _ in range(2):
+        for v in values:
+            plan = plans.plan("b", {"a": v})
+            _, scalar = gen._hints(plan, "b", {"a": v})
+            (pin,) = scalar.pins
+            assert type(pin) is type(v) and repr(pin) == repr(v)
+    assert len(plan.memo) == len(values)
+    # an unhashable bound value is solved without the memo
+    tensor = TensorVal(DType.DT_INT64, (1,), data=[1])
+    _, scalar = gen._hints(plan, "b", {"a": tensor})
+    assert scalar.pins == [tensor] and len(plan.memo) == len(values)
+
+
 # -- repair --
 
 
@@ -247,6 +296,19 @@ def test_repair_reaches_fixpoint_at_threshold_rate(corpus, manifest):
                 repaired += 1
     rate = repaired / attempts
     assert rate >= thresholds["repair_fixpoint_rate_min"], rate
+
+
+def test_repair_trusts_settled_params_on_its_first_pass_only(corpus):
+    gen = GuidedGenerator(corpus, "Bincount")
+    exprs = [parse_constraint(t) for t in ("size(weights) == nbins", "nbins >= 1", "nbins <= 2")]
+    binding = {
+        "nbins": 3,
+        "indices": TensorVal(DType.DT_INT64, (1,), data=[0]),
+        "weights": TensorVal(DType.DT_FLOAT, (3,), data=[1.0] * 3),
+    }
+    # the first expr holds as `weights` was settled; re-solving nbins breaks it
+    assert gen.repair(random.Random(3), binding, exprs, settled={"weights"})
+    assert all(evaluate(e, binding) for e in exprs)
 
 
 # -- random baseline --

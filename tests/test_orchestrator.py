@@ -267,6 +267,19 @@ def test_compare_passes_on_real_pair(compare_pair):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_compare_reads_the_random_arm_of_a_both_report(corpus, compare_pair):
+    guided, _ = compare_pair
+    cfg = guided["config"]
+    keys = dict(seed=cfg["seed"], iterations=cfg["iterations"], modes=tuple(cfg["modes"]), ops=tuple(cfg["ops"]))
+    both = run_campaign(corpus, CampaignConfig(strategy="both", **keys))
+    tl = both["timeline"]
+    assert tl["blocks"] != tl["random_blocks"]  # the arms differ, so a misread shows
+    code, lines = compare_reports(guided, both)
+    assert code == 0, "\n".join(lines)
+    timeline = [line for line in lines if "timeline@" in line]
+    assert [int(line.rsplit(" ", 1)[1]) for line in timeline] == tl["random_blocks"]
+
+
 def test_compare_rejects_seed_mismatch(compare_pair):
     guided, rand = compare_pair
     doctored = copy.deepcopy(rand)
