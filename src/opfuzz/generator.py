@@ -272,15 +272,11 @@ def _fold_atoms(expr, bound, keep: str) -> tuple:
     out = []
 
     def walk(e):
-        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
-            if folds(e):
-                out.append(e)
+        if isinstance(e, (AttrRef, Ndim, Size, Dim, Val)) and folds(e):
+            out.append(e)  # a folded val() evaluates its indices itself
         elif isinstance(e, Val):
-            if folds(e):
-                out.append(e)  # evaluating it evaluates its folded indices too
-            else:
-                for i in e.idxs:
-                    walk(i)
+            for i in e.idxs:
+                walk(i)
         elif isinstance(e, (Arith, Cmp)):
             walk(e.left)
             walk(e.right)

@@ -1,14 +1,35 @@
 """Guided and random input generation: templates, solving, probes, repair."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opfuzz.constraints import AttrRef, Cmp, evaluate, evaluate_tree, params_of, parse_constraint
+from opfuzz.constraints import (
+    Arith,
+    AttrRef,
+    Cmp,
+    Dim,
+    Lit,
+    Ndim,
+    Size,
+    Val,
+    _EvalFail,
+    evaluate,
+    evaluate_tree,
+    params_of,
+    parse_constraint,
+)
 from opfuzz.corpus import encode_binding
 from opfuzz.generator import (
     GuidedGenerator,
+    _DEAD,
     _ExprPlans,
+    _fold_atoms,
+    _fold_key,
+    _substitute_bound,
     _choice_vectors,
     build_control_template,
     build_data_template,
@@ -273,6 +294,59 @@ def test_solve_memo_keeps_equal_but_distinct_values_apart(corpus):
     tensor = TensorVal(DType.DT_INT64, (1,), data=[1])
     _, scalar = gen._hints(plan, "b", {"a": tensor})
     assert scalar.pins == [tensor] and len(plan.memo) == len(values)
+
+
+def _fold_exprs():
+    index = st.one_of(st.integers(-1, 2).map(Lit), st.sampled_from(["n", "m"]).map(AttrRef))
+    atoms = st.one_of(
+        st.integers(-2, 2).map(Lit),
+        st.sampled_from(["n", "m"]).map(AttrRef),
+        st.just(Ndim("x")),
+        st.just(Size("x")),
+        st.integers(0, 1).map(lambda axis: Dim("x", axis)),
+        index.map(lambda i: Val("x", (i,))),
+    )
+    values = st.recursive(atoms, lambda c: st.builds(Arith, st.sampled_from(["+", "%"]), c, c), max_leaves=4)
+    return st.builds(Cmp, st.sampled_from(["==", "<"]), values, values)
+
+
+# values that compare equal across types or signs, so a type-blind key collides
+_ATTR_VALUES = st.sampled_from([0, 1, True, 1.0, 0.0, -0.0, 2, "1"])
+_ELEMS = st.sampled_from([0, 1, True, 0.0, -0.0])
+_TENSORS = st.sampled_from([(), (2,), (0,), (1, 2)]).flatmap(
+    lambda shape: st.lists(_ELEMS, min_size=math.prod(shape), max_size=math.prod(shape)).map(
+        lambda data: TensorVal(DType.DT_INT64, shape, data=data)
+    )
+)
+_BINDINGS = st.fixed_dictionaries({"n": _ATTR_VALUES, "m": _ATTR_VALUES, "x": _TENSORS})
+
+
+def _residual(expr, bound, keep):
+    """The residual's repr (which tells Lit(1) from Lit(True)), None when dropped."""
+    try:
+        return repr(_substitute_bound(expr, bound, keep))
+    except _EvalFail:
+        return None
+
+
+@given(
+    expr=_fold_exprs(),
+    keep=st.sampled_from(["n", "m", "x"]),
+    names=st.sets(st.sampled_from(["n", "m", "x"])),
+    a=_BINDINGS,
+    b=_BINDINGS,
+)
+@settings(max_examples=400, deadline=None)
+def test_fold_key_fixes_the_residual(expr, keep, names, a, b):
+    """Equal fold keys give the same residual, so the memo may share its hints."""
+    names = names - {keep}
+    folds = _fold_atoms(expr, names, keep)
+    bound_a = {k: v for k, v in a.items() if k in names}
+    bound_b = {k: v for k, v in b.items() if k in names}
+    key_a = _fold_key((folds,), bound_a)
+    assert (_DEAD in key_a) == (_residual(expr, bound_a, keep) is None)
+    if key_a == _fold_key((folds,), bound_b):
+        assert _residual(expr, bound_a, keep) == _residual(expr, bound_b, keep)
 
 
 # -- repair --
