@@ -18,6 +18,14 @@ turn.  A draw then only evaluates atoms, consumes the rng and tests
 candidates, in the same order as without plans, so reports do not change.
 Repair's first pass skips the constraints a param's solve already saw
 hold.
+
+The random baseline draws straight from the rng's `getrandbits` and
+`random`, one list comprehension per tensor dtype, without the stdlib's
+per-call argument checks.  Its contract: the same values and the same rng
+consumption, in the same order, as drawing each rank, extent, state and
+length with `randrange`, each int with `randint(INT64_MIN, INT64_MAX)` and
+each float with `uniform(-1e18, 1e18)` on a `random.Random`.  A test pins
+this against a reference that makes those stdlib calls.
 """
 
 from __future__ import annotations
@@ -985,45 +993,76 @@ def _clone_tensor(t: TensorVal) -> TensorVal:
 
 # -- random baseline --
 
+_RESOURCE_STATES = ("null", "fresh", "filled", "closed")
+_CHAR_COUNT = len(RANDOM_STRING_CHARS)
+_CHAR_BITS = _CHAR_COUNT.bit_length()
 
-def _random_string(rng) -> str:
-    n = rng.randrange(17)
-    return "".join(RANDOM_STRING_CHARS[rng.randrange(len(RANDOM_STRING_CHARS))] for _ in range(n))
+
+def _below(getbits, n: int) -> int:
+    """`randrange(n)` for n > 0, drawn from `getbits` (a `getrandbits`)."""
+    k = n.bit_length()
+    r = getbits(k)
+    while r >= n:
+        r = getbits(k)
+    return r
 
 
-def _random_element(rng, dtype: DType):
+def _random_int64(getbits) -> int:
+    """`randint(INT64_MIN, INT64_MAX)`: `_below(getbits, 2**64)`, inlined."""
+    r = getbits(65)
+    while r >= 2**64:
+        r = getbits(65)
+    return INT64_MIN + r
+
+
+def _random_string(getbits) -> str:
+    chars = []
+    for _ in range(_below(getbits, 17)):
+        r = getbits(_CHAR_BITS)
+        while r >= _CHAR_COUNT:
+            r = getbits(_CHAR_BITS)
+        chars.append(RANDOM_STRING_CHARS[r])
+    return "".join(chars)
+
+
+def _random_elements(rng, dtype: DType, size: int) -> list:
+    getbits = rng.getrandbits
     if dtype is DType.DT_INT64:
-        return rng.randint(INT64_MIN, INT64_MAX)
+        return [_random_int64(getbits) for _ in range(size)]
     if dtype is DType.DT_FLOAT:
-        return rng.uniform(-1e18, 1e18)
+        # uniform(-1e18, 1e18); the span 2e18 is exact in a double
+        random = rng.random
+        return [-1e18 + 2e18 * random() for _ in range(size)]
     if dtype is DType.DT_STRING:
-        return _random_string(rng)
+        return [_random_string(getbits) for _ in range(size)]
     if dtype is DType.DT_BOOL:
-        return rng.randrange(2) == 1
-    raise ValueError(f"no random element for {dtype}")
+        return [_below(getbits, 2) == 1 for _ in range(size)]
+    if size:
+        raise ValueError(f"no random element for {dtype}")
+    return []
 
 
 def generate_random(spec, rng) -> dict:
     """Structure-blind baseline draw; pure in (spec, rng state)."""
+    getbits = rng.getrandbits
     binding = {}
     for p in spec.params:
         if p.container == "resource":
-            binding[p.name] = ResourceRef(p.entity, ("null", "fresh", "filled", "closed")[rng.randrange(4)])
+            binding[p.name] = ResourceRef(p.entity, _RESOURCE_STATES[_below(getbits, 4)])
         elif p.role == "attr":
             if p.dtype is DType.INT:
-                binding[p.name] = rng.randint(INT64_MIN, INT64_MAX)
+                binding[p.name] = _random_int64(getbits)
             elif p.dtype is DType.FLOAT:
-                binding[p.name] = rng.uniform(-1e18, 1e18)
+                binding[p.name] = -1e18 + 2e18 * rng.random()
             elif p.dtype is DType.STRING:
-                binding[p.name] = _random_string(rng)
+                binding[p.name] = _random_string(getbits)
             else:
-                binding[p.name] = rng.randrange(2) == 1
+                binding[p.name] = _below(getbits, 2) == 1
         else:
-            rank = rng.randrange(5)
-            shape = tuple(rng.randrange(9) for _ in range(rank))
+            rank = _below(getbits, 5)
+            shape = tuple([_below(getbits, 9) for _ in range(rank)])
             size = 1
             for e in shape:
                 size *= e
-            data = [_random_element(rng, p.dtype) for _ in range(size)]
-            binding[p.name] = TensorVal(p.dtype, shape, data=data)
+            binding[p.name] = TensorVal(p.dtype, shape, data=_random_elements(rng, p.dtype, size))
     return binding

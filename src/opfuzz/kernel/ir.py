@@ -31,6 +31,9 @@ class DType(enum.Enum):
         return self.name.startswith("DT_") and self is not DType.DT_RESOURCE
 
 
+# the Python type a scalar attr of each dtype must have
+ATTR_PYTYPES = {DType.INT: int, DType.FLOAT: float, DType.STRING: str, DType.BOOL: bool}
+
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 

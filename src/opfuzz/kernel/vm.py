@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import (
+    ATTR_PYTYPES,
     INT64_MAX,
     INT64_MIN,
     Crash,
@@ -164,7 +165,7 @@ def check_binding(kernel: KernelIR, binding: dict) -> str | None:
             raise EngineError(f"{kernel.kernel_id}: binding missing parameter {p.name!r}")
         v = binding[p.name]
         if p.role == "attr":
-            expected = {DType.INT: int, DType.FLOAT: float, DType.STRING: str, DType.BOOL: bool}[p.dtype]
+            expected = ATTR_PYTYPES[p.dtype]
             if type(v) is not expected:
                 return f"parameter {p.name}: expected {p.dtype.name} attr, got {type(v).__name__}"
             if p.dtype is DType.INT and not (INT64_MIN <= v <= INT64_MAX):

@@ -19,7 +19,7 @@ from pathlib import Path
 from .constraints import classify_constraints, params_of, render
 from .corpus import Corpus, encode_binding
 from .generator import GuidedGenerator, generate_random
-from .kernel.ir import ResourceRef, TensorVal
+from .kernel.ir import ATTR_PYTYPES, ResourceRef, TensorVal
 from .kernel.vm import HandleTable, execute
 
 PROBE_EVERY = 10
@@ -155,7 +155,7 @@ def classify_causality(binding: dict, spec, kind: str) -> str:
         if isinstance(v, TensorVal) and v.dtype != p.dtype:
             return "TYPE_MISMATCH"
         if p.role == "attr" and v is not None and not isinstance(v, TensorVal):
-            want = {"INT": int, "FLOAT": float, "STRING": str, "BOOL": bool}.get(p.dtype.name)
+            want = ATTR_PYTYPES.get(p.dtype)
             if want is not None and type(v) is not want:
                 return "TYPE_MISMATCH"
     return "OTHER"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 from .kernel.ir import DType, ParamDecl
 
@@ -399,8 +400,9 @@ class Registry:
     groups: list[OpGroup]
     kernel_groups: dict[str, list[str]]
 
-    @property
+    @cached_property
     def by_name(self) -> dict[str, OpGroup]:
+        """Groups by name, built on first use: `groups` is fixed once built."""
         return {g.name: g for g in self.groups}
 
     @property

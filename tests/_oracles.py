@@ -3,8 +3,10 @@
 Each oracle recomputes a result the package also computes, by a different
 route: per-seed graph reachability instead of a named-set fixpoint for
 taint, an explicit pairwise tournament instead of a keyed min() for call
-paths, and exhaustive small-domain enumeration for generation soundness.
-Oracles share only parsed inputs with the code under test, never logic.
+paths, exhaustive small-domain enumeration for generation soundness, and
+the stdlib `random` calls the random baseline's direct bit draws replace.
+Oracles share only parsed inputs and constants with the code under test,
+never logic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 
-from opfuzz.kernel.ir import DType, KernelIR, ResourceRef, TensorVal
+from opfuzz.generator import RANDOM_STRING_CHARS
+from opfuzz.kernel.ir import INT64_MAX, INT64_MIN, DType, KernelIR, ResourceRef, TensorVal
 
 # -- call-path placement -------------------------------------------------------
 
@@ -255,3 +258,49 @@ def enumerate_bindings(kernel: KernelIR):
                 b[names[i]] = vi
                 b[names[j]] = vj
                 yield b
+
+
+# -- random baseline through the stdlib calls ----------------------------------
+
+
+def _reference_string(rng) -> str:
+    n = rng.randrange(17)
+    return "".join(RANDOM_STRING_CHARS[rng.randrange(len(RANDOM_STRING_CHARS))] for _ in range(n))
+
+
+def _reference_element(rng, dtype: DType):
+    if dtype is DType.DT_INT64:
+        return rng.randint(INT64_MIN, INT64_MAX)
+    if dtype is DType.DT_FLOAT:
+        return rng.uniform(-1e18, 1e18)
+    if dtype is DType.DT_STRING:
+        return _reference_string(rng)
+    if dtype is DType.DT_BOOL:
+        return rng.randrange(2) == 1
+    raise ValueError(f"no random element for {dtype}")
+
+
+def reference_generate_random(spec, rng) -> dict:
+    """The random baseline drawn with randrange/randint/uniform, one call per value."""
+    binding = {}
+    for p in spec.params:
+        if p.container == "resource":
+            binding[p.name] = ResourceRef(p.entity, ("null", "fresh", "filled", "closed")[rng.randrange(4)])
+        elif p.role == "attr":
+            if p.dtype is DType.INT:
+                binding[p.name] = rng.randint(INT64_MIN, INT64_MAX)
+            elif p.dtype is DType.FLOAT:
+                binding[p.name] = rng.uniform(-1e18, 1e18)
+            elif p.dtype is DType.STRING:
+                binding[p.name] = _reference_string(rng)
+            else:
+                binding[p.name] = rng.randrange(2) == 1
+        else:
+            rank = rng.randrange(5)
+            shape = tuple(rng.randrange(9) for _ in range(rank))
+            size = 1
+            for e in shape:
+                size *= e
+            data = [_reference_element(rng, p.dtype) for _ in range(size)]
+            binding[p.name] = TensorVal(p.dtype, shape, data=data)
+    return binding

@@ -1,10 +1,11 @@
 """Guided and random input generation: templates, solving, probes, repair."""
 
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opfuzz.constraints import (
@@ -22,11 +23,13 @@ from opfuzz.constraints import (
     params_of,
     parse_constraint,
 )
+from opfuzz import generator, orchestrator
 from opfuzz.corpus import encode_binding
 from opfuzz.generator import (
     GuidedGenerator,
     _DEAD,
     _ExprPlans,
+    _below,
     _fold_atoms,
     _fold_key,
     _substitute_bound,
@@ -38,8 +41,11 @@ from opfuzz.generator import (
     describe_templates,
     generate_random,
 )
-from opfuzz.kernel.ir import DType, ResourceRef, TensorVal
+from opfuzz.kernel.ir import DType, EngineError, ParamDecl, ResourceRef, TensorVal
 from opfuzz.kernel.vm import HandleTable, execute
+from opfuzz.registry import OpSpec
+
+from _oracles import reference_generate_random
 
 NO_RESOURCE_OPS = None  # filled by fixture below
 
@@ -389,11 +395,78 @@ def test_repair_trusts_settled_params_on_its_first_pass_only(corpus):
 
 
 def test_random_generation_is_pure_in_spec_and_seed(corpus):
-    for op in ("Bincount", "StackPush", "LARM"):
-        spec = corpus.spec_for(op)
+    for spec in corpus.registry.testable:
         a = generate_random(spec, random.Random(21))
         b = generate_random(spec, random.Random(21))
         assert encode_binding(a) == encode_binding(b)
+
+
+def test_tracers_patch_the_generator_the_campaign_calls():
+    assert orchestrator.generate_random is generator.generate_random
+
+
+# one param of each kind the random baseline draws
+_RANDOM_KINDS = {
+    "resource": ParamDecl("r", "input", DType.DT_RESOURCE, "resource", entity="Stack"),
+    "int_attr": ParamDecl("i", "attr", DType.INT, "scalar"),
+    "float_attr": ParamDecl("f", "attr", DType.FLOAT, "scalar"),
+    "string_attr": ParamDecl("s", "attr", DType.STRING, "scalar"),
+    "bool_attr": ParamDecl("b", "attr", DType.BOOL, "scalar"),
+    "int_tensor": ParamDecl("ti", "input", DType.DT_INT64, "tensor"),
+    "float_tensor": ParamDecl("tf", "input", DType.DT_FLOAT, "tensor"),
+    "string_tensor": ParamDecl("ts", "input", DType.DT_STRING, "tensor"),
+    "bool_tensor": ParamDecl("tb", "input", DType.DT_BOOL, "tensor"),
+}
+
+
+def _synthetic_spec(params) -> OpSpec:
+    return OpSpec("Synthetic", ("raw_ops",), (), tuple(params), (), "SyntheticKernel")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(sorted(_RANDOM_KINDS)), min_size=1, max_size=4),
+)
+@example(seed=0, kinds=sorted(_RANDOM_KINDS))
+@settings(max_examples=200, deadline=None)
+def test_random_draw_matches_the_stdlib_reference(seed, kinds):
+    """Same values and same rng consumption as randrange/randint/uniform."""
+    params = [dataclasses.replace(_RANDOM_KINDS[k], name=f"{k}{i}") for i, k in enumerate(kinds)]
+    spec = _synthetic_spec(params)
+    fast, ref = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert repr(encode_binding(generate_random(spec, fast))) == repr(
+            encode_binding(reference_generate_random(spec, ref))
+        )
+        assert fast.getstate() == ref.getstate()
+
+
+def _outcome(draw, spec, rng):
+    try:
+        return repr(encode_binding(draw(spec, rng)))
+    except (ValueError, EngineError) as exc:
+        return repr(exc)
+
+
+def test_random_draw_fails_on_a_dtype_without_elements_like_the_reference():
+    # ValueError once an element is drawn; an empty tensor fails in TensorVal
+    spec = _synthetic_spec([ParamDecl("t", "input", DType.DT_RESOURCE, "tensor")])
+    outcomes = set()
+    for seed in range(40):
+        fast, ref = random.Random(seed), random.Random(seed)
+        got = _outcome(generate_random, spec, fast)
+        assert got == _outcome(reference_generate_random, spec, ref)
+        assert fast.getstate() == ref.getstate()
+        outcomes.add(got.split("(")[0])
+    assert outcomes == {"ValueError", "EngineError"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 9, 17, 37, 2**64])
+def test_below_draws_like_randrange(n):
+    for seed in range(5):
+        fast, ref = random.Random(seed), random.Random(seed)
+        assert [_below(fast.getrandbits, n) for _ in range(200)] == [ref.randrange(n) for _ in range(200)]
+        assert fast.getstate() == ref.getstate()
 
 
 def test_random_draws_stay_in_documented_ranges(corpus):

@@ -152,3 +152,4 @@ def test_build_registry_shape(corpus):
     reg = build_registry(corpus.registry.specs)
     assert {g.name for g in reg.groups} == {g.name for g in corpus.registry.groups}
     assert reg.by_name["ArgMax"].kernel_id == "ArgKernel"
+    assert reg.by_name is reg.by_name
