@@ -10,9 +10,11 @@ because a check that would fail at runtime is a failed check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .kernel.ir import INT64_MAX, INT64_MIN, TensorVal
+from .kernel.vm import trunc_div
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 ARITH_OPS = ("+", "-", "*", "/", "%")
@@ -144,12 +146,6 @@ class _EvalFail(Exception):
     """Internal: atom out of range or bad arithmetic; constraint is false."""
 
 
-def _trunc_div(a: int, b: int) -> int:
-    # C semantics: quotient truncated toward zero, remainder follows dividend
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
 def _check64(v: int) -> int:
     if v < INT64_MIN or v > INT64_MAX:
         raise _EvalFail()
@@ -200,9 +196,10 @@ def _eval_value(expr, binding: dict, env: dict):
                 return _check64(a * b)
             if b == 0:
                 raise _EvalFail()
+            # C semantics: quotient truncated toward zero, remainder follows dividend
             if expr.op == "/":
-                return _check64(_trunc_div(a, b))
-            return _check64(a - _trunc_div(a, b) * b)
+                return _check64(trunc_div(a, b))
+            return _check64(a - trunc_div(a, b) * b)
         if isinstance(a, (int, float)) and isinstance(b, (int, float)):
             if expr.op == "+":
                 return a + b
@@ -214,8 +211,6 @@ def _eval_value(expr, binding: dict, env: dict):
                 raise _EvalFail()
             if expr.op == "/":
                 return a / b
-            import math
-
             return math.fmod(a, b)
         raise _EvalFail()
     raise ConstraintError(f"cannot evaluate {type(expr).__name__} as a value")

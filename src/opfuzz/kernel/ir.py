@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class DType(enum.Enum):
@@ -66,14 +67,14 @@ class TensorVal:
     """Row-major tensor.  Large tensors are lazy: a fill value plus sparse
     overrides, materialized per element on access."""
 
-    __slots__ = ("dtype", "shape", "data", "fill", "overrides")
+    __slots__ = ("dtype", "shape", "data", "fill", "overrides", "_size")
 
     def __init__(self, dtype: DType, shape, data=None, fill=None):
         if not dtype.is_tensor:
             raise EngineError(f"not a tensor dtype: {dtype}")
         self.dtype = dtype
         self.shape = tuple(int(e) for e in shape)
-        size = _product(self.shape)
+        self._size = size = _product(self.shape)
         if data is not None:
             # dense buffers need well-formed shapes; malformed (negative)
             # extents are only expressible lazily and get trapped by
@@ -96,7 +97,7 @@ class TensorVal:
 
     @property
     def size(self) -> int:
-        return _product(self.shape)
+        return self._size
 
     @property
     def rank(self) -> int:
@@ -211,6 +212,8 @@ class KernelIR:
     blocks: list[Block]
     regions: list  # top-level region sequence
     entry: int = 0
+    # the VM's lowered program, built on the first execute
+    compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def param(self, name: str) -> ParamDecl:
         for p in self.params:
@@ -218,11 +221,11 @@ class KernelIR:
                 return p
         raise EngineError(f"{self.kernel_id}: no param {name!r}")
 
-    @property
+    @cached_property
     def inputs(self) -> list[ParamDecl]:
         return [p for p in self.params if p.role == "input"]
 
-    @property
+    @cached_property
     def attrs(self) -> list[ParamDecl]:
         return [p for p in self.params if p.role == "attr"]
 

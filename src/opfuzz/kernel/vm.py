@@ -12,10 +12,32 @@ Sanitizer verdicts:
 
 `require_fail` and binding-level dtype mismatches are ValidationReject,
 mirroring frontend parameter errors rather than crashes.
+
+Each kernel is compiled once, on its first `execute`, into a `_Program`
+cached on the kernel (`KernelIR.compiled`). Value ids become slots of a
+list env; per block the program holds a tuple of closures with their
+operands resolved, plus the encoded terminator. One lowering pass emits two
+closures per instruction: one over concrete values for eager runs, and one
+over the {known, unknown} shape domain for the graph prepass, so both modes
+are short block walkers over the same program. Consts written by exactly
+one instruction are preloaded into per-kernel env templates, parameter
+fetches fill their slots as the env is built, and in the shape domain the
+element loads, index computations and resource calls written once are
+unknown from the start.
+Compilation changes speed, never results: for every binding the verdict,
+the covered blocks, the outputs and their order, the crash site (its
+`instr_index` counts positions in `block.instrs`, skipped consts included),
+the handle table and any EngineError are those of a plain instruction-by-
+instruction interpreter, and both step caps trip at exactly the same
+instruction. `tests/test_vm_compiled.py` pins this against such an
+interpreter kept in `tests/_oracles.py`, which shares no code with this one.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .ir import (
@@ -35,7 +57,10 @@ from .ir import (
 
 MODES = ("eager", "graph")
 
+# instructions an eager run may execute before it raises EngineError
 _STEP_CAP = 10_000_000
+# instructions the graph prepass walks before it gives up (returns None)
+_PREPASS_STEP_CAP = 100_000
 
 
 class _CrashSignal(Exception):
@@ -123,19 +148,20 @@ def _bin_op(op: str, a, b):
         if op == "%":
             if b == 0.0:
                 raise _CrashSignal("FPE")
-            import math
-
             return math.fmod(a, b)
     raise EngineError(f"bad bin operands: {op} {type(a).__name__} {type(b).__name__}")
 
 
+# the ops whose int-by-int case the compiled closures check inline
+_INT_FAST = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
 _CMP = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -154,44 +180,80 @@ def _flat_index(tensor: TensorVal, idxs) -> int:
     return flat
 
 
+_MISSING = object()
+
+
+def _binding_check(p):
+    """The check of one parameter: a reject message or None; raises when
+    the parameter is missing or an int attr leaves signed 64-bit."""
+    name = p.name
+    missing = f"binding missing parameter {name!r}"
+
+    if p.role == "attr":
+        expected = ATTR_PYTYPES[p.dtype]
+        wanted = f"parameter {name}: expected {p.dtype.name} attr, got "
+        is_int = p.dtype is DType.INT
+
+        def check(binding, kernel_id):
+            v = binding.get(name, _MISSING)
+            if type(v) is not expected:
+                if v is _MISSING:
+                    raise EngineError(f"{kernel_id}: {missing}")
+                return wanted + type(v).__name__
+            if is_int and not (INT64_MIN <= v <= INT64_MAX):
+                raise EngineError(f"attr {name} outside signed 64-bit range")
+            return None
+
+    elif p.container == "resource":
+        entity = p.entity
+
+        def check(binding, kernel_id):
+            v = binding.get(name, _MISSING)
+            if not isinstance(v, ResourceRef):
+                if v is _MISSING:
+                    raise EngineError(f"{kernel_id}: {missing}")
+                return f"parameter {name}: expected resource handle, got {type(v).__name__}"
+            if v.entity != entity:
+                return f"parameter {name}: expected {entity} handle, got {v.entity}"
+            return None
+
+    else:
+        dtype = p.dtype
+        wanted = f"parameter {name}: expected {dtype.name} tensor, got "
+
+        def check(binding, kernel_id):
+            v = binding.get(name, _MISSING)
+            if not isinstance(v, TensorVal):
+                if v is _MISSING:
+                    raise EngineError(f"{kernel_id}: {missing}")
+                return wanted + type(v).__name__
+            if v.dtype is not dtype:
+                return wanted + v.dtype.name
+            return None
+
+    return check
+
+
 def check_binding(kernel: KernelIR, binding: dict) -> str | None:
     """Validate presence and dtypes.  Returns a reject message or None.
 
     A missing parameter is a harness bug and raises; a wrong dtype is the
     moral equivalent of a frontend type error and rejects.
     """
-    for p in kernel.params:
-        if p.name not in binding:
-            raise EngineError(f"{kernel.kernel_id}: binding missing parameter {p.name!r}")
-        v = binding[p.name]
-        if p.role == "attr":
-            expected = ATTR_PYTYPES[p.dtype]
-            if type(v) is not expected:
-                return f"parameter {p.name}: expected {p.dtype.name} attr, got {type(v).__name__}"
-            if p.dtype is DType.INT and not (INT64_MIN <= v <= INT64_MAX):
-                raise EngineError(f"attr {p.name} outside signed 64-bit range")
-        elif p.container == "resource":
-            if not isinstance(v, ResourceRef):
-                return f"parameter {p.name}: expected resource handle, got {type(v).__name__}"
-            if v.entity != p.entity:
-                return f"parameter {p.name}: expected {p.entity} handle, got {v.entity}"
-        else:
-            if not isinstance(v, TensorVal):
-                return f"parameter {p.name}: expected {p.dtype.name} tensor, got {type(v).__name__}"
-            if v.dtype is not p.dtype:
-                return f"parameter {p.name}: expected {p.dtype.name} tensor, got {v.dtype.name}"
+    kid = kernel.kernel_id
+    for check in _program(kernel).checks:
+        message = check(binding, kid)
+        if message is not None:
+            return message
     return None
 
 
 class _Run:
-    def __init__(self, kernel: KernelIR, binding: dict, handles: HandleTable):
-        self.kernel = kernel
-        self.binding = binding
+    """Resource state of one execution: the campaign handle table and the
+    handles this run materialized for fresh/filled/closed binding refs."""
+
+    def __init__(self, handles: HandleTable):
         self.handles = handles
-        self.env: dict[int, object] = {}
-        self.covered: set = set()
-        self.outputs: dict = {}
-        # per-execution materialization of fresh/filled/closed binding refs
         self._ref_ids: dict[int, int | None] = {}
 
     def resolve_ref(self, ref: ResourceRef) -> int | None:
@@ -243,92 +305,403 @@ class _Run:
             return n
         raise EngineError(f"unknown resource verb {verb!r}")
 
-    def exec_instr(self, instr):
-        op = instr.opcode
-        env = self.env
-        if op == "const":
-            env[instr.dst] = instr.args[0]
-        elif op == "get_input":
-            env[instr.dst] = self.binding[self.kernel.inputs[instr.args[0]].name]
-        elif op == "get_attr":
-            env[instr.dst] = self.binding[instr.args[0]]
-        elif op == "bin":
-            o, a, b = instr.args
-            env[instr.dst] = _bin_op(o, env[a], env[b])
-        elif op == "cmp":
-            o, a, b = instr.args
-            env[instr.dst] = _CMP[o](env[a], env[b])
-        elif op == "logic":
-            o, a, b = instr.args
-            env[instr.dst] = (not env[a]) if o == "not" else (env[a] and env[b]) if o == "and" else (env[a] or env[b])
-        elif op == "rank":
-            env[instr.dst] = env[instr.args[0]].rank
-        elif op == "size":
-            env[instr.dst] = env[instr.args[0]].size
-        elif op == "dim":
-            t = env[instr.args[0]]
-            axis = env[instr.args[1]]
-            if axis < 0 or axis >= t.rank:
-                raise _CrashSignal("OOB")
-            env[instr.dst] = t.shape[axis]
-        elif op == "tload":
-            t = env[instr.args[0]]
-            idxs = [env[i] for i in instr.args[1]]
-            env[instr.dst] = t.flat_get(_flat_index(t, idxs))
-        elif op == "index":
-            t = env[instr.args[0]]
-            idxs = [env[i] for i in instr.args[1]]
-            env[instr.dst] = _flat_index(t, idxs)
-        elif op == "tstore":
-            t = env[instr.args[0]]
-            idxs = [env[i] for i in instr.args[1]]
-            t.flat_set(_flat_index(t, idxs), env[instr.args[2]])
-        elif op == "emit":
-            self.outputs[instr.args[0]] = env[instr.args[1]]
-        elif op == "res_call":
-            verb, entity, arg_ids = instr.args
-            env[instr.dst] = self.res_call(verb, entity, tuple(env[i] for i in arg_ids))
-        else:
-            raise EngineError(f"unknown opcode {op!r}")
-
-    def run(self) -> ExecOutcome:
-        kid = self.kernel.kernel_id
-        bid = self.kernel.entry
-        steps = 0
-        while True:
-            block = self.kernel.blocks[bid]
-            self.covered.add((kid, bid))
-            for i, instr in enumerate(block.instrs):
-                steps += 1
-                if steps > _STEP_CAP:
-                    raise EngineError(f"{kid}: step cap exceeded")
-                try:
-                    self.exec_instr(instr)
-                except _CrashSignal as c:
-                    return self.outcome(Crash(c.kind, kid, bid, i))
-                except _RejectSignal as r:
-                    return self.outcome(ValidationReject(r.message, bid))
-            term = block.terminator
-            if term[0] == "jmp":
-                bid = term[1]
-            elif term[0] == "br":
-                bid = term[2] if self.env[term[1]] else term[3]
-            elif term[0] == "require_fail":
-                return self.outcome(ValidationReject(term[1], bid))
-            elif term[0] == "ret":
-                return self.outcome(Success(self.outputs))
-            else:
-                raise EngineError(f"unknown terminator {term!r}")
-
-    def outcome(self, verdict) -> ExecOutcome:
-        return ExecOutcome(verdict, frozenset(self.covered))
-
 
 class _Unknown:
     __repr__ = lambda self: "<unknown>"
 
 
 _UNKNOWN = _Unknown()
+
+
+# -- compilation ------------------------------------------------------------------
+
+# terminator kinds; the two branch kinds come first so `kind <= _REQUIRE`
+# tests for either
+_BRANCH, _REQUIRE, _JMP, _RET, _FAIL, _BAD = range(6)
+
+
+def _gather(ids):
+    """env -> tuple of the values at `ids`."""
+    if not ids:
+        return lambda env: ()
+    if len(ids) == 1:
+        (i,) = ids
+        return lambda env: (env[i],)
+    return operator.itemgetter(*ids)
+
+
+def _reads(instr) -> tuple:
+    """The value ids an instruction reads."""
+    op, args = instr.opcode, instr.args
+    if op in ("bin", "cmp"):
+        return args[1:]
+    if op == "logic":
+        return tuple(a for a in args[1:] if a is not None)
+    if op in ("rank", "size"):
+        return args[:1]
+    if op == "dim":
+        return args[:2]
+    if op in ("tload", "index"):
+        return (args[0], *args[1])
+    if op == "tstore":
+        return (args[0], *args[1], args[2])
+    if op == "emit":
+        return args[1:2]
+    if op == "res_call":
+        return tuple(args[2])
+    return ()
+
+
+def _eager_op(instr, kernel, bslot, oslot, rslot):
+    """One instruction over concrete values: a closure that updates the env."""
+    op, d, args = instr.opcode, instr.dst, instr.args
+    if op == "const":
+        v = args[0]
+
+        def run(env):
+            env[d] = v
+
+    elif op == "get_input" or op == "get_attr":
+        name = kernel.inputs[args[0]].name if op == "get_input" else args[0]
+
+        def run(env):
+            env[d] = env[bslot][name]
+
+    elif op == "bin":
+        o, a, b = args
+        arith = _INT_FAST.get(o)
+        if arith is not None:
+
+            def run(env):
+                x = env[a]
+                y = env[b]
+                if type(x) is int and type(y) is int:
+                    r = arith(x, y)
+                    if r < INT64_MIN or r > INT64_MAX:
+                        raise _CrashSignal("IOF")
+                    env[d] = r
+                else:
+                    env[d] = _bin_op(o, x, y)
+
+        else:
+
+            def run(env):
+                env[d] = _bin_op(o, env[a], env[b])
+
+    elif op == "cmp":
+        o, a, b = args
+        cmp = _CMP[o]
+
+        def run(env):
+            env[d] = cmp(env[a], env[b])
+
+    elif op == "logic":
+        o, a, b = args
+        if o == "not":
+
+            def run(env):
+                env[d] = not env[a]
+
+        elif o == "and":
+
+            def run(env):
+                env[d] = env[a] and env[b]
+
+        else:
+
+            def run(env):
+                env[d] = env[a] or env[b]
+
+    elif op == "rank":
+        t = args[0]
+
+        def run(env):
+            env[d] = env[t].rank
+
+    elif op == "size":
+        t = args[0]
+
+        def run(env):
+            env[d] = env[t].size
+
+    elif op == "dim":
+        t, a = args
+
+        def run(env):
+            tensor = env[t]
+            axis = env[a]
+            if axis < 0 or axis >= tensor.rank:
+                raise _CrashSignal("OOB")
+            env[d] = tensor.shape[axis]
+
+    elif op == "tload":
+        t, idxs = args[0], _gather(args[1])
+
+        def run(env):
+            tensor = env[t]
+            env[d] = tensor.flat_get(_flat_index(tensor, idxs(env)))
+
+    elif op == "index":
+        t, idxs = args[0], _gather(args[1])
+
+        def run(env):
+            env[d] = _flat_index(env[t], idxs(env))
+
+    elif op == "tstore":
+        t, idxs, v = args[0], _gather(args[1]), args[2]
+
+        def run(env):
+            tensor = env[t]
+            tensor.flat_set(_flat_index(tensor, idxs(env)), env[v])
+
+    elif op == "emit":
+        name, v = args
+
+        def run(env):
+            env[oslot][name] = env[v]
+
+    elif op == "res_call":
+        verb, entity, call_args = args[0], args[1], _gather(args[2])
+
+        def run(env):
+            env[d] = env[rslot].res_call(verb, entity, call_args(env))
+
+    else:
+
+        def run(env):
+            raise EngineError(f"unknown opcode {op!r}")
+
+    return run
+
+
+def _shape_op(instr, kernel, bslot):
+    """One instruction over the {known, unknown} shape domain, or None when
+    the instruction leaves the env as it is."""
+    op, d, args = instr.opcode, instr.dst, instr.args
+    U = _UNKNOWN
+    if op in ("const", "get_input", "get_attr"):
+        return _eager_op(instr, kernel, bslot, None, None)
+    if op in ("tload", "index", "res_call"):
+
+        def run(env):
+            env[d] = U
+
+    elif op == "tstore" or op == "emit":
+        return None
+    elif op == "rank":
+        t = args[0]
+
+        def run(env):
+            tensor = env[t]
+            env[d] = tensor.rank if isinstance(tensor, TensorVal) else U
+
+    elif op == "size":
+        t = args[0]
+
+        def run(env):
+            tensor = env[t]
+            env[d] = tensor.size if isinstance(tensor, TensorVal) else U
+
+    elif op == "dim":
+        t, a = args
+
+        def run(env):
+            tensor = env[t]
+            axis = env[a]
+            if isinstance(tensor, TensorVal) and isinstance(axis, int) and 0 <= axis < tensor.rank:
+                env[d] = tensor.shape[axis]
+            else:
+                env[d] = U
+
+    elif op == "bin":
+        o, a, b = args
+        arith = _INT_FAST.get(o)
+
+        def run(env):
+            x = env[a]
+            y = env[b]
+            if x is U or y is U:
+                env[d] = U
+            elif arith is not None and type(x) is int and type(y) is int:
+                r = arith(x, y)
+                env[d] = U if r < INT64_MIN or r > INT64_MAX else r
+            else:
+                try:
+                    env[d] = _bin_op(o, x, y)
+                except _CrashSignal:
+                    env[d] = U
+
+    elif op == "cmp":
+        o, a, b = args
+        cmp = _CMP[o]
+
+        def run(env):
+            x = env[a]
+            y = env[b]
+            env[d] = U if x is U or y is U else cmp(x, y)
+
+    elif op == "logic":
+        o, a, b = args
+
+        def run(env):
+            x = env[a]
+            y = env[b] if b is not None else None
+            if x is U or (b is not None and y is U):
+                env[d] = U
+            else:
+                env[d] = (not x) if o == "not" else (x and y) if o == "and" else (x or y)
+
+    else:
+
+        def run(env):
+            raise EngineError(f"unknown opcode {op!r}")
+
+    return run
+
+
+def _encode_terminator(term) -> tuple:
+    """(kind, x, y, z): a branch is (cond, then, else), a jump (target,),
+    a require failure (message,), anything unknown (the terminator,)."""
+    head = term[0]
+    if head == "br":
+        return (_REQUIRE if term[4] == "require" else _BRANCH, term[1], term[2], term[3])
+    if head == "jmp":
+        return (_JMP, term[1], None, None)
+    if head == "ret":
+        return (_RET, None, None, None)
+    if head == "require_fail":
+        return (_FAIL, term[1], None, None)
+    return (_BAD, term, None, None)
+
+
+class _Program:
+    """A kernel lowered for the block walkers in `_run_eager` and
+    `shape_infer_prepass`.
+
+    `eager` and `shape` hold one record per block: (closures, instruction
+    count, coverage key, terminator kind, x, y, z). `eager_positions[bid]`
+    and `shape_positions[bid]` give each closure's index in `block.instrs`;
+    the two domains skip different instructions. The env is a list: the
+    value slots, then the binding, the outputs dict and the run's resource
+    state (`bslot`, `oslot`, `rslot`).
+    """
+
+    def __init__(self, kernel: KernelIR):
+        kid = self.kernel_id = kernel.kernel_id
+        self.entry = kernel.entry
+        self.checks = tuple(_binding_check(p) for p in kernel.params)
+        instrs = [i for b in kernel.blocks for i in b.instrs]
+        writes: dict[int, int] = {}
+        read: set = set()
+        for instr in instrs:
+            if instr.dst is not None:
+                writes[instr.dst] = writes.get(instr.dst, 0) + 1
+            read.update(_reads(instr))
+        for b in kernel.blocks:
+            if b.terminator and b.terminator[0] == "br":
+                read.add(b.terminator[1])
+        unwritten = sorted(read - writes.keys())
+        if unwritten:
+            raise EngineError(f"{kid}: value {unwritten[0]} is read but never written")
+        n = max([*writes, *read], default=-1) + 1
+        self.bslot, self.oslot, self.rslot = bslot, oslot, rslot = n, n + 1, n + 2
+        eager_env = [None] * (n + 3)
+        shape_env = [_UNKNOWN] * (n + 3)
+        param_names = {p.name for p in kernel.params}
+        fetches = []
+        self.uses_resources = any(i.opcode == "res_call" for i in instrs)
+        self.eager, self.shape = [], []
+        self.eager_positions, self.shape_positions = [], []
+        for block in kernel.blocks:
+            eops, epos, sops, spos = [], [], [], []
+            for k, instr in enumerate(block.instrs):
+                op, d = instr.opcode, instr.dst
+                once = d is not None and writes[d] == 1
+                if once and op == "const":
+                    eager_env[d] = shape_env[d] = instr.args[0]
+                    continue
+                if once and op in ("get_input", "get_attr"):
+                    name = kernel.inputs[instr.args[0]].name if op == "get_input" else instr.args[0]
+                    if name in param_names:
+                        # present by the time a walker runs: check_binding saw to it
+                        fetches.append((d, name))
+                        continue
+                eops.append(_eager_op(instr, kernel, bslot, oslot, rslot))
+                epos.append(k)
+                if once and op in ("tload", "index", "res_call"):
+                    continue  # the shape env's slot is unknown from the start
+                run = _shape_op(instr, kernel, bslot)
+                if run is not None:
+                    sops.append(run)
+                    spos.append(k)
+            key = (kid, block.bid)
+            term = _encode_terminator(block.terminator)
+            self.eager.append((tuple(eops), len(block.instrs), key, *term))
+            self.shape.append((tuple(sops), len(block.instrs), key, *term))
+            self.eager_positions.append(tuple(epos))
+            self.shape_positions.append(tuple(spos))
+        self.fetches = tuple(fetches)
+        self.eager_env = eager_env
+        self.shape_env = shape_env
+
+
+def _program(kernel: KernelIR) -> _Program:
+    """The kernel's program, compiled on first use."""
+    prog = kernel.compiled
+    if prog is None:
+        prog = kernel.compiled = _Program(kernel)
+    return prog
+
+
+def _env(prog: _Program, template: list, binding: dict) -> list:
+    env = template.copy()
+    env[prog.bslot] = binding
+    for slot, name in prog.fetches:
+        env[slot] = binding[name]
+    return env
+
+
+def _run_eager(prog: _Program, binding: dict, handles: HandleTable | None) -> ExecOutcome:
+    env = _env(prog, prog.eager_env, binding)
+    outputs: dict = {}
+    env[prog.oslot] = outputs
+    if prog.uses_resources:
+        env[prog.rslot] = _Run(handles if handles is not None else HandleTable())
+    kid = prog.kernel_id
+    blocks = prog.eager
+    covered: set = set()
+    cap = _STEP_CAP
+    steps = 0
+    bid = prog.entry
+    while True:
+        ops, n, key, kind, x, y, z = blocks[bid]
+        covered.add(key)
+        steps += n
+        if steps > cap:
+            # the cap falls inside this block: run only what comes before it
+            ops = ops[: bisect_left(prog.eager_positions[bid], cap - steps + n)]
+        it = iter(ops)
+        try:
+            for run in it:
+                run(env)
+        except _CrashSignal as c:
+            # the failing closure is the last one the loop took from `it`
+            at = prog.eager_positions[bid][len(ops) - 1 - len(tuple(it))]
+            return ExecOutcome(Crash(c.kind, kid, bid, at), frozenset(covered))
+        except _RejectSignal as r:
+            return ExecOutcome(ValidationReject(r.message, bid), frozenset(covered))
+        if steps > cap:
+            raise EngineError(f"{kid}: step cap exceeded")
+        if kind <= _REQUIRE:
+            bid = y if env[x] else z
+        elif kind == _JMP:
+            bid = x
+        elif kind == _RET:
+            return ExecOutcome(Success(outputs), frozenset(covered))
+        elif kind == _FAIL:
+            return ExecOutcome(ValidationReject(x, bid), frozenset(covered))
+        else:
+            raise EngineError(f"unknown terminator {x!r}")
 
 
 def shape_infer_prepass(kernel: KernelIR, binding: dict) -> ExecOutcome | None:
@@ -339,107 +712,59 @@ def shape_infer_prepass(kernel: KernelIR, binding: dict) -> ExecOutcome | None:
     unknown and assumed to pass.  Returns the early ValidationReject outcome,
     or None when no shape-level require provably fails.
     """
-    env: dict[int, object] = {}
-    covered: set = set()
+    prog = kernel.compiled or _program(kernel)
+    env = _env(prog, prog.shape_env, binding)
     kid = kernel.kernel_id
-    bid = kernel.entry
+    blocks = prog.shape
+    covered: set = set()
+    cap = _PREPASS_STEP_CAP
     steps = 0
-
-    def value(vid):
-        return env.get(vid, _UNKNOWN)
-
+    bid = kernel.entry
     while True:
-        block = kernel.blocks[bid]
-        covered.add((kid, bid))
-        for instr in block.instrs:
-            steps += 1
-            if steps > 100_000:
-                return None
-            op = instr.opcode
-            if op == "const":
-                env[instr.dst] = instr.args[0]
-            elif op == "get_input":
-                env[instr.dst] = binding[kernel.inputs[instr.args[0]].name]
-            elif op == "get_attr":
-                env[instr.dst] = binding[instr.args[0]]
-            elif op in ("tload", "index", "res_call"):
-                env[instr.dst] = _UNKNOWN
-            elif op == "tstore" or op == "emit":
-                pass
-            elif op == "rank":
-                t = value(instr.args[0])
-                env[instr.dst] = t.rank if isinstance(t, TensorVal) else _UNKNOWN
-            elif op == "size":
-                t = value(instr.args[0])
-                env[instr.dst] = t.size if isinstance(t, TensorVal) else _UNKNOWN
-            elif op == "dim":
-                t = value(instr.args[0])
-                axis = value(instr.args[1])
-                if isinstance(t, TensorVal) and isinstance(axis, int) and 0 <= axis < t.rank:
-                    env[instr.dst] = t.shape[axis]
-                else:
-                    env[instr.dst] = _UNKNOWN
-            elif op == "bin":
-                o, a, b = instr.args
-                va, vb = value(a), value(b)
-                if va is _UNKNOWN or vb is _UNKNOWN:
-                    env[instr.dst] = _UNKNOWN
-                else:
-                    try:
-                        env[instr.dst] = _bin_op(o, va, vb)
-                    except _CrashSignal:
-                        env[instr.dst] = _UNKNOWN
-            elif op == "cmp":
-                o, a, b = instr.args
-                va, vb = value(a), value(b)
-                env[instr.dst] = _UNKNOWN if va is _UNKNOWN or vb is _UNKNOWN else _CMP[o](va, vb)
-            elif op == "logic":
-                o, a, b = instr.args
-                va = value(a)
-                vb = value(b) if b is not None else None
-                if va is _UNKNOWN or (b is not None and vb is _UNKNOWN):
-                    env[instr.dst] = _UNKNOWN
-                else:
-                    env[instr.dst] = (not va) if o == "not" else (va and vb) if o == "and" else (va or vb)
-            else:
-                raise EngineError(f"unknown opcode {op!r}")
-        term = block.terminator
-        if term[0] == "jmp":
-            bid = term[1]
-        elif term[0] == "ret":
+        ops, n, key, kind, x, y, z = blocks[bid]
+        covered.add(key)
+        steps += n
+        if steps > cap:
+            for run in ops[: bisect_left(prog.shape_positions[bid], cap - steps + n)]:
+                run(env)
             return None
-        elif term[0] == "require_fail":
-            return ExecOutcome(ValidationReject(term[1], bid), frozenset(covered))
-        elif term[0] == "br":
-            cond = value(term[1])
-            tag = term[4]
-            if tag == "require":
-                if cond is _UNKNOWN or cond:
-                    bid = term[2]
-                else:
-                    fail_bid = term[3]
-                    covered.add((kid, fail_bid))
-                    msg = kernel.blocks[fail_bid].terminator[1]
-                    return ExecOutcome(ValidationReject(msg, fail_bid), frozenset(covered))
+        for run in ops:
+            run(env)
+        if kind == _JMP:
+            bid = x
+        elif kind == _REQUIRE:
+            cond = env[x]
+            if cond is _UNKNOWN or cond:
+                bid = y
             else:
-                if cond is _UNKNOWN:
-                    return None
-                bid = term[2] if cond else term[3]
+                covered.add((kid, z))
+                msg = kernel.blocks[z].terminator[1]
+                return ExecOutcome(ValidationReject(msg, z), frozenset(covered))
+        elif kind == _BRANCH:
+            cond = env[x]
+            if cond is _UNKNOWN:
+                return None
+            bid = y if cond else z
+        elif kind == _RET:
+            return None
+        elif kind == _FAIL:
+            return ExecOutcome(ValidationReject(x, bid), frozenset(covered))
         else:
-            raise EngineError(f"unknown terminator {term!r}")
+            raise EngineError(f"unknown terminator {x!r}")
 
 
 def execute(kernel: KernelIR, binding: dict, mode: str = "eager", handles: HandleTable | None = None) -> ExecOutcome:
     """Deterministic interpretation of one kernel under one binding."""
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}")
-    if handles is None:
-        handles = HandleTable()
-    reject = check_binding(kernel, binding)
-    if reject is not None:
-        return ExecOutcome(ValidationReject(reject, kernel.entry), frozenset({(kernel.kernel_id, kernel.entry)}))
+    prog = kernel.compiled or _program(kernel)
+    kid = kernel.kernel_id
+    for check in prog.checks:
+        reject = check(binding, kid)
+        if reject is not None:
+            return ExecOutcome(ValidationReject(reject, kernel.entry), frozenset({(kid, kernel.entry)}))
     if mode == "graph":
         early = shape_infer_prepass(kernel, binding)
         if early is not None:
             return early
-    return _Run(kernel, binding, handles).run()
+    return _run_eager(prog, binding, handles)

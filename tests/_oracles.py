@@ -3,19 +3,34 @@
 Each oracle recomputes a result the package also computes, by a different
 route: per-seed graph reachability instead of a named-set fixpoint for
 taint, an explicit pairwise tournament instead of a keyed min() for call
-paths, exhaustive small-domain enumeration for generation soundness, and
-the stdlib `random` calls the random baseline's direct bit draws replace.
-Oracles share only parsed inputs and constants with the code under test,
-never logic.
+paths, exhaustive small-domain enumeration for generation soundness,
+the stdlib `random` calls the random baseline's direct bit draws replace,
+and a plain instruction-by-instruction interpreter for the compiled VM.
+Oracles share only parsed inputs, constants and value types with the code
+under test, never logic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
 from opfuzz.generator import RANDOM_STRING_CHARS
-from opfuzz.kernel.ir import INT64_MAX, INT64_MIN, DType, KernelIR, ResourceRef, TensorVal
+from opfuzz.kernel.ir import (
+    ATTR_PYTYPES,
+    INT64_MAX,
+    INT64_MIN,
+    Crash,
+    DType,
+    EngineError,
+    ExecOutcome,
+    KernelIR,
+    ResourceRef,
+    Success,
+    TensorVal,
+    ValidationReject,
+)
 
 # -- call-path placement -------------------------------------------------------
 
@@ -304,3 +319,359 @@ def reference_generate_random(spec, rng) -> dict:
             data = [_reference_element(rng, p.dtype) for _ in range(size)]
             binding[p.name] = TensorVal(p.dtype, shape, data=data)
     return binding
+
+
+# -- the kernel VM as a plain interpreter ----------------------------------------
+
+# read at call time, so tests can lower them like the VM's own caps
+STEP_CAP = 10_000_000
+PREPASS_STEP_CAP = 100_000
+
+
+class _Crash(Exception):
+    def __init__(self, kind: str):
+        self.kind = kind
+
+
+class _Reject(Exception):
+    def __init__(self, message: str):
+        self.message = message
+
+
+def _ref_div(a: int, b: int) -> int:
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _ref_int(value: int) -> int:
+    if value < INT64_MIN or value > INT64_MAX:
+        raise _Crash("IOF")
+    return value
+
+
+def _ref_bin(op: str, a, b):
+    if isinstance(a, bool) or isinstance(b, bool):
+        raise EngineError("arithmetic on booleans")
+    if isinstance(a, int) and isinstance(b, int):
+        if op == "+":
+            return _ref_int(a + b)
+        if op == "-":
+            return _ref_int(a - b)
+        if op == "*":
+            return _ref_int(a * b)
+        if op in ("/", "%") and b == 0:
+            raise _Crash("FPE")
+        if op == "/":
+            return _ref_int(_ref_div(a, b))
+        if op == "%":
+            return _ref_int(a - _ref_div(a, b) * b)
+    elif isinstance(a, float) and isinstance(b, float):
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op in ("/", "%") and b == 0.0:
+            raise _Crash("FPE")
+        if op == "/":
+            return a / b
+        if op == "%":
+            return math.fmod(a, b)
+    raise EngineError(f"bad bin operands: {op} {type(a).__name__} {type(b).__name__}")
+
+
+def _ref_cmp(op: str, a, b):
+    if op == "==":
+        return a == b
+    if op == "!=":
+        return a != b
+    if op == "<":
+        return a < b
+    if op == "<=":
+        return a <= b
+    if op == ">":
+        return a > b
+    return a >= b
+
+
+def _ref_flat(tensor: TensorVal, idxs) -> int:
+    if len(idxs) != len(tensor.shape):
+        raise _Crash("OOB")
+    if math.prod(tensor.shape) <= 0:
+        raise _Crash("NPE")
+    flat = 0
+    for idx, extent in zip(idxs, tensor.shape):
+        if idx < 0 or idx >= extent:
+            raise _Crash("OOB")
+        flat = flat * extent + idx
+    return flat
+
+
+def _ref_check(kernel: KernelIR, binding: dict):
+    for p in kernel.params:
+        if p.name not in binding:
+            raise EngineError(f"{kernel.kernel_id}: binding missing parameter {p.name!r}")
+        v = binding[p.name]
+        if p.role == "attr":
+            if type(v) is not ATTR_PYTYPES[p.dtype]:
+                return f"parameter {p.name}: expected {p.dtype.name} attr, got {type(v).__name__}"
+            if p.dtype is DType.INT and not (INT64_MIN <= v <= INT64_MAX):
+                raise EngineError(f"attr {p.name} outside signed 64-bit range")
+        elif p.container == "resource":
+            if not isinstance(v, ResourceRef):
+                return f"parameter {p.name}: expected resource handle, got {type(v).__name__}"
+            if v.entity != p.entity:
+                return f"parameter {p.name}: expected {p.entity} handle, got {v.entity}"
+        else:
+            if not isinstance(v, TensorVal):
+                return f"parameter {p.name}: expected {p.dtype.name} tensor, got {type(v).__name__}"
+            if v.dtype is not p.dtype:
+                return f"parameter {p.name}: expected {p.dtype.name} tensor, got {v.dtype.name}"
+    return None
+
+
+def _input_name(kernel: KernelIR, index: int) -> str:
+    return [p for p in kernel.params if p.role == "input"][index].name
+
+
+class _RefRun:
+    def __init__(self, kernel: KernelIR, binding: dict, handles):
+        self.kernel = kernel
+        self.binding = binding
+        self.handles = handles
+        self.env: dict = {}
+        self.covered: set = set()
+        self.outputs: dict = {}
+        self.ref_ids: dict = {}
+
+    def handle_of(self, ref: ResourceRef):
+        if ref.state == "live":
+            return ref.handle_id
+        if ref.state == "null":
+            return None
+        if id(ref) not in self.ref_ids:
+            if ref.state == "fresh":
+                self.ref_ids[id(ref)] = self.handles.create(ref.entity)
+            elif ref.state == "filled":
+                self.ref_ids[id(ref)] = self.handles.create(ref.entity, payload=[1.0])
+            elif ref.state == "closed":
+                self.ref_ids[id(ref)] = self.handles.create(ref.entity, closed=True)
+            else:
+                raise EngineError(f"unknown resource state {ref.state!r}")
+        return self.ref_ids[id(ref)]
+
+    def call(self, verb: str, entity: str, args: tuple):
+        if verb == "New":
+            return ResourceRef(entity, "live", self.handles.create(entity))
+        ref = args[0]
+        if not isinstance(ref, ResourceRef):
+            raise EngineError(f"resource verb {verb} on non-handle {type(ref).__name__}")
+        if ref.entity != entity:
+            raise _Reject(f"{verb}: expected {entity} handle, got {ref.entity}")
+        hid = self.handle_of(ref)
+        entry = None if hid is None else self.handles.entries.get(hid)
+        if entry is None:
+            raise _Crash("NPE")
+        if entry.closed:
+            raise _Crash("UAF")
+        if verb == "Push":
+            entry.payload.append(args[1] if len(args) > 1 else None)
+            return 1
+        if verb == "Pop":
+            if not entry.payload:
+                raise _Crash("OOB")
+            return entry.payload.pop()
+        if verb == "Close":
+            entry.closed = True
+            return 1
+        if verb == "Find":
+            return len(entry.payload)
+        if verb == "Remove":
+            n = len(entry.payload)
+            entry.payload.clear()
+            return n
+        raise EngineError(f"unknown resource verb {verb!r}")
+
+    def step(self, instr):
+        op, env, args = instr.opcode, self.env, instr.args
+        if op == "const":
+            env[instr.dst] = args[0]
+        elif op == "get_input":
+            env[instr.dst] = self.binding[_input_name(self.kernel, args[0])]
+        elif op == "get_attr":
+            env[instr.dst] = self.binding[args[0]]
+        elif op == "bin":
+            env[instr.dst] = _ref_bin(args[0], env[args[1]], env[args[2]])
+        elif op == "cmp":
+            env[instr.dst] = _ref_cmp(args[0], env[args[1]], env[args[2]])
+        elif op == "logic":
+            o, a, b = args
+            if o == "not":
+                env[instr.dst] = not env[a]
+            elif o == "and":
+                env[instr.dst] = env[a] and env[b]
+            else:
+                env[instr.dst] = env[a] or env[b]
+        elif op == "rank":
+            env[instr.dst] = len(env[args[0]].shape)
+        elif op == "size":
+            env[instr.dst] = math.prod(env[args[0]].shape)
+        elif op == "dim":
+            t, axis = env[args[0]], env[args[1]]
+            if axis < 0 or axis >= len(t.shape):
+                raise _Crash("OOB")
+            env[instr.dst] = t.shape[axis]
+        elif op in ("tload", "index", "tstore"):
+            t = env[args[0]]
+            flat = _ref_flat(t, [env[i] for i in args[1]])
+            if op == "tload":
+                env[instr.dst] = t.flat_get(flat)
+            elif op == "index":
+                env[instr.dst] = flat
+            else:
+                t.flat_set(flat, env[args[2]])
+        elif op == "emit":
+            self.outputs[args[0]] = env[args[1]]
+        elif op == "res_call":
+            verb, entity, arg_ids = args
+            env[instr.dst] = self.call(verb, entity, tuple(env[i] for i in arg_ids))
+        else:
+            raise EngineError(f"unknown opcode {op!r}")
+
+    def run(self) -> ExecOutcome:
+        kid = self.kernel.kernel_id
+        bid = self.kernel.entry
+        steps = 0
+        while True:
+            block = self.kernel.blocks[bid]
+            self.covered.add((kid, bid))
+            for i, instr in enumerate(block.instrs):
+                steps += 1
+                if steps > STEP_CAP:
+                    raise EngineError(f"{kid}: step cap exceeded")
+                try:
+                    self.step(instr)
+                except _Crash as c:
+                    return ExecOutcome(Crash(c.kind, kid, bid, i), frozenset(self.covered))
+                except _Reject as r:
+                    return ExecOutcome(ValidationReject(r.message, bid), frozenset(self.covered))
+            term = block.terminator
+            if term[0] == "jmp":
+                bid = term[1]
+            elif term[0] == "br":
+                bid = term[2] if self.env[term[1]] else term[3]
+            elif term[0] == "require_fail":
+                return ExecOutcome(ValidationReject(term[1], bid), frozenset(self.covered))
+            elif term[0] == "ret":
+                return ExecOutcome(Success(self.outputs), frozenset(self.covered))
+            else:
+                raise EngineError(f"unknown terminator {term!r}")
+
+
+_UNKNOWN = object()
+
+
+def reference_prepass(kernel: KernelIR, binding: dict):
+    """The graph prepass over a dict env where a missing value is unknown."""
+    env: dict = {}
+    covered: set = set()
+    kid = kernel.kernel_id
+    bid = kernel.entry
+    steps = 0
+
+    def value(vid):
+        return env.get(vid, _UNKNOWN)
+
+    while True:
+        block = kernel.blocks[bid]
+        covered.add((kid, bid))
+        for instr in block.instrs:
+            steps += 1
+            if steps > PREPASS_STEP_CAP:
+                return None
+            op, args, dst = instr.opcode, instr.args, instr.dst
+            if op == "const":
+                env[dst] = args[0]
+            elif op == "get_input":
+                env[dst] = binding[_input_name(kernel, args[0])]
+            elif op == "get_attr":
+                env[dst] = binding[args[0]]
+            elif op in ("tload", "index", "res_call"):
+                env[dst] = _UNKNOWN
+            elif op in ("tstore", "emit"):
+                pass
+            elif op in ("rank", "size"):
+                t = value(args[0])
+                if not isinstance(t, TensorVal):
+                    env[dst] = _UNKNOWN
+                else:
+                    env[dst] = len(t.shape) if op == "rank" else math.prod(t.shape)
+            elif op == "dim":
+                t, axis = value(args[0]), value(args[1])
+                if isinstance(t, TensorVal) and isinstance(axis, int) and 0 <= axis < len(t.shape):
+                    env[dst] = t.shape[axis]
+                else:
+                    env[dst] = _UNKNOWN
+            elif op in ("bin", "cmp"):
+                va, vb = value(args[1]), value(args[2])
+                if va is _UNKNOWN or vb is _UNKNOWN:
+                    env[dst] = _UNKNOWN
+                elif op == "cmp":
+                    env[dst] = _ref_cmp(args[0], va, vb)
+                else:
+                    try:
+                        env[dst] = _ref_bin(args[0], va, vb)
+                    except _Crash:
+                        env[dst] = _UNKNOWN
+            elif op == "logic":
+                o, a, b = args
+                va = value(a)
+                vb = value(b) if b is not None else None
+                if va is _UNKNOWN or (b is not None and vb is _UNKNOWN):
+                    env[dst] = _UNKNOWN
+                elif o == "not":
+                    env[dst] = not va
+                elif o == "and":
+                    env[dst] = va and vb
+                else:
+                    env[dst] = va or vb
+            else:
+                raise EngineError(f"unknown opcode {op!r}")
+        term = block.terminator
+        if term[0] == "jmp":
+            bid = term[1]
+        elif term[0] == "ret":
+            return None
+        elif term[0] == "require_fail":
+            return ExecOutcome(ValidationReject(term[1], bid), frozenset(covered))
+        elif term[0] == "br":
+            cond = value(term[1])
+            if term[4] == "require":
+                if cond is _UNKNOWN or cond:
+                    bid = term[2]
+                else:
+                    covered.add((kid, term[3]))
+                    msg = kernel.blocks[term[3]].terminator[1]
+                    return ExecOutcome(ValidationReject(msg, term[3]), frozenset(covered))
+            else:
+                if cond is _UNKNOWN:
+                    return None
+                bid = term[2] if cond else term[3]
+        else:
+            raise EngineError(f"unknown terminator {term!r}")
+
+
+def reference_execute(kernel: KernelIR, binding: dict, mode: str, handles) -> ExecOutcome:
+    """`vm.execute` as a binding check, the graph prepass, then a walk that
+    runs one instruction at a time over a dict env."""
+    if mode not in ("eager", "graph"):
+        raise EngineError(f"unknown mode {mode!r}")
+    reject = _ref_check(kernel, binding)
+    if reject is not None:
+        return ExecOutcome(ValidationReject(reject, kernel.entry), frozenset({(kernel.kernel_id, kernel.entry)}))
+    if mode == "graph":
+        early = reference_prepass(kernel, binding)
+        if early is not None:
+            return early
+    return _RefRun(kernel, binding, handles).run()
