@@ -6,18 +6,33 @@ arithmetic and comparisons, optionally under a single forall quantifier
 with half-open bounds.  Evaluation is total: an out-of-range atom or a
 zero divisor makes the enclosing constraint false rather than raising,
 because a check that would fail at runtime is a failed check.
+
+Every walk over an expression goes through one traversal core: `children`
+lists a node's sub-expressions left to right (the two operands of `Arith`
+and `Cmp`, the indices of `Val`, the bounds and body of `Forall`),
+`rebuild` makes the same node over new children, and `nodes`, `atoms` and
+`replace` are the pre-order iteration and top-down rewrite built on them.
+The grammar keeps a `Forall` at the top of a constraint only, always over
+a `Cmp` body: the parser and the extractor build no other shape, so a walk
+never meets a quantifier nested inside another expression.
+
+Arithmetic is the kernel VM's (`vm._bin_op`: checked signed 64-bit ints,
+C-style `/` and `%`, IEEE floats) and comparison is the VM's `_CMP` table.
+The evaluator keeps its own operand rule in front of them: a bool or a
+non-number operand makes the constraint false, where the VM raises
+`EngineError`; an int mixed with a float is promoted to floats, as Python's
+mixed arithmetic does, where the VM raises too; and an overflow or a zero
+divisor, a crash in the VM, makes the constraint false.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from .kernel.ir import INT64_MAX, INT64_MIN, TensorVal
-from .kernel.vm import trunc_div
+from .kernel.ir import TensorVal
+from .kernel.vm import _CMP, _CrashSignal, _bin_op
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-ARITH_OPS = ("+", "-", "*", "/", "%")
 
 # Table-style attribute buckets, most-specific first for mixed-atom constraints
 ATTR_PRECEDENCE = ("ndim", "shape", "size", "value", "dtype")
@@ -139,17 +154,66 @@ class ConstraintTree:
         return out
 
 
+# -- traversal core --
+
+# the atoms over one parameter; a val()'s indices are its children
+ATOM_TYPES = (AttrRef, Ndim, Size, Dim, Val)
+
+
+def children(expr) -> tuple:
+    """The sub-expressions of `expr`, left to right."""
+    t = type(expr)
+    if t is Arith or t is Cmp:
+        return (expr.left, expr.right)
+    if t is Val:
+        return expr.idxs
+    if t is Forall:
+        return (expr.lo, expr.hi, expr.body)
+    return ()
+
+
+def rebuild(expr, kids):
+    """`expr` with its children, in `children` order, replaced by `kids`."""
+    t = type(expr)
+    if t is Arith or t is Cmp:
+        return t(expr.op, *kids)
+    if t is Val:
+        return Val(expr.param, tuple(kids))
+    if t is Forall:
+        return Forall(expr.var, *kids)
+    return expr
+
+
+def nodes(expr):
+    """Every node of `expr`, pre-order, left to right."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(children(e)))
+
+
+def atoms(expr):
+    """The atom nodes of `expr`, a val()'s index atoms included, pre-order."""
+    return (e for e in nodes(expr) if isinstance(e, ATOM_TYPES))
+
+
+def replace(expr, f):
+    """Rebuild `expr` top-down: a node for which `f` returns a node becomes
+    that node, unvisited below; every other node is rebuilt over its
+    replaced children."""
+    new = f(expr)
+    if new is not None:
+        return new
+    kids = children(expr)
+    return rebuild(expr, [replace(k, f) for k in kids]) if kids else expr
+
+
 # -- evaluation --
 
 
 class _EvalFail(Exception):
     """Internal: atom out of range or bad arithmetic; constraint is false."""
-
-
-def _check64(v: int) -> int:
-    if v < INT64_MIN or v > INT64_MAX:
-        raise _EvalFail()
-    return v
 
 
 def _eval_value(expr, binding: dict, env: dict):
@@ -185,34 +249,19 @@ def _eval_value(expr, binding: dict, env: dict):
     if isinstance(expr, Arith):
         a = _eval_value(expr.left, binding, env)
         b = _eval_value(expr.right, binding, env)
-        if isinstance(a, bool) or isinstance(b, bool):
+        if (
+            isinstance(a, bool)
+            or isinstance(b, bool)
+            or not isinstance(a, (int, float))
+            or not isinstance(b, (int, float))
+        ):
             raise _EvalFail()
-        if isinstance(a, int) and isinstance(b, int):
-            if expr.op == "+":
-                return _check64(a + b)
-            if expr.op == "-":
-                return _check64(a - b)
-            if expr.op == "*":
-                return _check64(a * b)
-            if b == 0:
-                raise _EvalFail()
-            # C semantics: quotient truncated toward zero, remainder follows dividend
-            if expr.op == "/":
-                return _check64(trunc_div(a, b))
-            return _check64(a - trunc_div(a, b) * b)
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            if expr.op == "+":
-                return a + b
-            if expr.op == "-":
-                return a - b
-            if expr.op == "*":
-                return a * b
-            if b == 0:
-                raise _EvalFail()
-            if expr.op == "/":
-                return a / b
-            return math.fmod(a, b)
-        raise _EvalFail()
+        if isinstance(a, float) is not isinstance(b, float):
+            a, b = float(a), float(b)
+        try:
+            return _bin_op(expr.op, a, b)
+        except _CrashSignal:  # IOF or FPE
+            raise _EvalFail()
     raise ConstraintError(f"cannot evaluate {type(expr).__name__} as a value")
 
 
@@ -232,41 +281,9 @@ def _tensor(binding: dict, name: str) -> TensorVal:
 
 def _var_only_in_val_indices(expr, var: str) -> bool:
     """True when every Var(var) occurrence is a whole val() index."""
-    if isinstance(expr, Var):
-        return expr.name != var
-    if isinstance(expr, Val):
-        return all(isinstance(i, Var) or _var_only_in_val_indices(i, var) for i in expr.idxs)
-    if isinstance(expr, (Arith, Cmp)):
-        return _var_only_in_val_indices(expr.left, var) and _var_only_in_val_indices(expr.right, var)
-    return True
-
-
-def _val_atoms(expr):
-    out = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Val):
-            out.append(e)
-            stack.extend(e.idxs)
-        elif isinstance(e, (Arith, Cmp)):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, Forall):
-            stack.extend([e.lo, e.hi, e.body])
-    return out
-
-
-def _substitute(expr, var: str, value: int):
-    if isinstance(expr, Var) and expr.name == var:
-        return Lit(value)
-    if isinstance(expr, Val):
-        return Val(expr.param, tuple(_substitute(i, var, value) for i in expr.idxs))
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _substitute(expr.left, var, value), _substitute(expr.right, var, value))
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _substitute(expr.left, var, value), _substitute(expr.right, var, value))
-    return expr
+    v = Var(var)
+    uses = sum(1 for e in nodes(expr) if e == v)
+    return uses == sum(e.idxs.count(v) for e in nodes(expr) if type(e) is Val)
 
 
 def _eval_bool(expr, binding: dict, env: dict) -> bool:
@@ -281,14 +298,7 @@ def _eval_bool(expr, binding: dict, env: dict) -> bool:
             raise _EvalFail()
         if isinstance(a, str) and expr.op not in ("==", "!="):
             raise _EvalFail()
-        return {
-            "==": a == b,
-            "!=": a != b,
-            "<": a < b,
-            "<=": a <= b,
-            ">": a > b,
-            ">=": a >= b,
-        }[expr.op]
+        return _CMP[expr.op](a, b)
     if isinstance(expr, Forall):
         lo = _eval_value(expr.lo, binding, env)
         hi = _eval_value(expr.hi, binding, env)
@@ -312,9 +322,9 @@ def _forall_uniform(expr: Forall, lo: int, hi: int, binding: dict, env: dict) ->
     it suffices to check one representative index per distinct element, which
     for fill-backed tensors is the fill value plus any point overrides.
     """
-    atoms = [a for a in _val_atoms(expr.body) if a.idxs == (Var(expr.var),)]
+    whole = (Var(expr.var),)
     tensors = []
-    for a in atoms:
+    for a in [e for e in nodes(expr.body) if type(e) is Val and e.idxs == whole]:
         t = _tensor(binding, a.param)
         if t.rank != 1 or lo < 0 or hi > t.shape[0]:
             raise _EvalFail()
@@ -416,34 +426,16 @@ FLIP_CMP = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def _fold(expr):
-    if isinstance(expr, Arith):
-        left = _fold(expr.left)
-        right = _fold(expr.right)
-        if isinstance(left, Lit) and isinstance(right, Lit):
-            try:
-                v = _eval_value(Arith(expr.op, left, right), {}, {})
-                return Lit(v)
-            except _EvalFail:
-                pass
-        return Arith(expr.op, left, right)
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _fold(expr.left), _fold(expr.right))
-    if isinstance(expr, Val):
-        return Val(expr.param, tuple(_fold(i) for i in expr.idxs))
-    if isinstance(expr, Forall):
-        return Forall(expr.var, _fold(expr.lo), _fold(expr.hi), _fold(expr.body))
-    return expr
-
-
-def _rename_var(expr, old: str, new: str):
-    if isinstance(expr, Var) and expr.name == old:
-        return Var(new)
-    if isinstance(expr, Val):
-        return Val(expr.param, tuple(_rename_var(i, old, new) for i in expr.idxs))
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _rename_var(expr.left, old, new), _rename_var(expr.right, old, new))
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _rename_var(expr.left, old, new), _rename_var(expr.right, old, new))
+    """Bottom-up constant folding of arithmetic over two literals."""
+    kids = children(expr)
+    if not kids:
+        return expr
+    expr = rebuild(expr, [_fold(k) for k in kids])
+    if type(expr) is Arith and type(expr.left) is Lit and type(expr.right) is Lit:
+        try:
+            return Lit(_eval_value(expr, {}, {}))
+        except _EvalFail:
+            pass
     return expr
 
 
@@ -453,7 +445,8 @@ def normalize(expr):
     if isinstance(expr, Forall):
         body = expr.body
         if expr.var != "i":
-            body = _rename_var(body, expr.var, "i")
+            old = Var(expr.var)
+            body = replace(body, lambda e: Var("i") if e == old else None)
         return Forall("i", normalize(expr.lo), normalize(expr.hi), normalize(body))
     if isinstance(expr, Cmp):
         left, right, op = expr.left, expr.right, expr.op
@@ -707,21 +700,7 @@ def tree_equal(a: ConstraintTree, b: ConstraintTree) -> bool:
 
 
 def params_of(expr) -> set:
-    out = set()
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
-            out.add(e.param)
-        elif isinstance(e, Val):
-            out.add(e.param)
-            stack.extend(e.idxs)
-        elif isinstance(e, (Arith, Cmp)):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, Forall):
-            stack.extend([e.lo, e.hi, e.body])
-    return out
+    return {a.param for a in atoms(expr)}
 
 
 def _bare_source(expr):
@@ -807,39 +786,18 @@ class ConstraintStats:
         }
 
 
-def _attr_of_atom(atom) -> str:
-    if isinstance(atom, Ndim):
-        return "ndim"
-    if isinstance(atom, Dim):
-        return "shape"
-    if isinstance(atom, Size):
-        return "size"
-    return "value"  # Val and AttrRef
+_ATTR_OF_ATOM = {Ndim: "ndim", Dim: "shape", Size: "size", Val: "value", AttrRef: "value"}
 
 
 def _param_attrs(expr) -> dict:
     """param -> attribute bucket, most specific kept, quantifier bounds skipped."""
     out: dict[str, str] = {}
-
-    def note(param, attr):
-        old = out.get(param)
+    # bounds are loop machinery, not the checked predicate
+    for a in atoms(expr.body if type(expr) is Forall else expr):
+        attr = _ATTR_OF_ATOM[type(a)]
+        old = out.get(a.param)
         if old is None or ATTR_PRECEDENCE.index(attr) < ATTR_PRECEDENCE.index(old):
-            out[param] = attr
-
-    def walk(e):
-        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
-            note(e.param, _attr_of_atom(e))
-        elif isinstance(e, Val):
-            note(e.param, "value")
-            for i in e.idxs:
-                walk(i)
-        elif isinstance(e, (Arith, Cmp)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Forall):
-            walk(e.body)  # bounds are loop machinery, not the checked predicate
-
-    walk(expr)
+            out[a.param] = attr
     return out
 
 

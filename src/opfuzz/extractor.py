@@ -31,6 +31,7 @@ from .constraints import (
 )
 from .kernel.ir import IfRegion, KernelIR, LoopRegion, RequireRegion
 from .kernel.parser import def_map
+from .kernel.vm import _CMP
 
 
 class ExtractionError(Exception):
@@ -322,7 +323,7 @@ def _finalize(expr):
     if isinstance(folded, Cmp) and isinstance(folded.left, Lit) and isinstance(folded.right, Lit):
         a, b = folded.left.value, folded.right.value
         try:
-            truth = {"==": a == b, "!=": a != b, "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[folded.op]
+            truth = _CMP[folded.op](a, b)
         except TypeError:
             return folded
         if truth:

@@ -35,10 +35,10 @@ import re
 from dataclasses import dataclass, field
 
 from .constraints import (
+    ATOM_TYPES,
     Arith,
     AttrRef,
     Cmp,
-    Constraint,
     ConstraintTree,
     Dim,
     FLIP_CMP,
@@ -47,14 +47,17 @@ from .constraints import (
     NEGATE_CMP,
     Ndim,
     Size,
-    Unliftable,
     Val,
     Var,
     _EvalFail,
     _eval_value,
+    atoms,
+    children,
     evaluate,
+    nodes,
     params_of,
     render,
+    replace,
     toposort_params,
 )
 from .kernel.ir import DType, INT64_MAX, INT64_MIN, ResourceRef, TensorVal
@@ -234,66 +237,39 @@ def describe_templates(corpus, op: str) -> dict:
 # -- residual substitution and hint extraction --
 
 
+def _folds(e, bound, keep: str) -> bool:
+    """Whether `e` is an atom over a bound param other than `keep`, with
+    every val() index a literal or folding too: the names in `bound` fix
+    its value."""
+    return (
+        type(e) in ATOM_TYPES
+        and e.param != keep
+        and e.param in bound
+        and all(type(i) is Lit or _folds(i, bound, keep) for i in children(e))
+    )
+
+
 def _substitute_bound(expr, bound: dict, keep: str):
     """Replace atoms over already-bound params (except `keep`) with literals.
 
     Raises _EvalFail when a bound atom cannot evaluate (the constraint is
     already unsatisfiable regardless of `keep`).
     """
-
-    def sub(e):
-        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
-            if e.param == keep or e.param not in bound:
-                return e
-            return Lit(_eval_value(e, bound, {}))
-        if isinstance(e, Val):
-            idxs = tuple(sub(i) for i in e.idxs)
-            if e.param == keep or e.param not in bound:
-                return Val(e.param, idxs)
-            if all(isinstance(i, Lit) for i in idxs):
-                return Lit(_eval_value(Val(e.param, idxs), bound, {}))
-            return Val(e.param, idxs)
-        if isinstance(e, Arith):
-            return Arith(e.op, sub(e.left), sub(e.right))
-        if isinstance(e, Cmp):
-            return Cmp(e.op, sub(e.left), sub(e.right))
-        if isinstance(e, Forall):
-            return Forall(e.var, sub(e.lo), sub(e.hi), sub(e.body))
-        return e
-
-    return sub(expr)
+    return replace(expr, lambda e: Lit(_eval_value(e, bound, {})) if _folds(e, bound, keep) else None)
 
 
 def _fold_atoms(expr, bound, keep: str) -> tuple:
     """The atoms `_substitute_bound(expr, ...)` replaces with literals, given
     only the names in `bound`: the residual is fixed by their values."""
-
-    def folds(e) -> bool:
-        if isinstance(e, Lit):
-            return True
-        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
-            return e.param != keep and e.param in bound
-        if isinstance(e, Val):
-            return e.param != keep and e.param in bound and all(folds(i) for i in e.idxs)
-        return False
-
     out = []
 
-    def walk(e):
-        if isinstance(e, (AttrRef, Ndim, Size, Dim, Val)) and folds(e):
+    def note(e):
+        if _folds(e, bound, keep):
             out.append(e)  # a folded val() evaluates its indices itself
-        elif isinstance(e, Val):
-            for i in e.idxs:
-                walk(i)
-        elif isinstance(e, (Arith, Cmp)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Forall):
-            walk(e.lo)
-            walk(e.hi)
-            walk(e.body)
+            return e
+        return None
 
-    walk(expr)
+    replace(expr, note)
     return tuple(out)
 
 
@@ -311,10 +287,10 @@ def _value_key(v):
 def _fold_key(folds, bound: dict) -> tuple:
     """The folded atoms' values: equal keys give equal residuals."""
     key = []
-    for atoms in folds:
+    for group in folds:
         mark = len(key)
         try:
-            for atom in atoms:
+            for atom in group:
                 key.append(_value_key(_eval_value(atom, bound, {})))
         except _EvalFail:
             del key[mark:]
@@ -420,7 +396,7 @@ class _TensorHints:
 def _hint_cmp(hints: _TensorHints, scalar: _Range, op: str, left, right, keep: str):
     # orient the keep-param atom to the left
     def is_keep_atom(e):
-        return isinstance(e, (AttrRef, Ndim, Size, Dim, Val)) and e.param == keep
+        return isinstance(e, ATOM_TYPES) and e.param == keep
 
     if not is_keep_atom(left) and is_keep_atom(right):
         left, right = right, left
@@ -485,7 +461,7 @@ def _collect_hints(exprs, keep: str) -> tuple:
             elif keep_val(right) and isinstance(left, Lit):
                 hints.elems.bound(FLIP_CMP[op], left.value)
                 hints.val_arities.add(1)
-        for atom in _walk_atoms(e):
+        for atom in atoms(e):
             if isinstance(atom, Val) and atom.param == keep:
                 hints.val_arities.add(len(atom.idxs))
             elif isinstance(atom, Dim) and atom.param == keep:
@@ -494,42 +470,13 @@ def _collect_hints(exprs, keep: str) -> tuple:
     return hints, scalar
 
 
-def _walk_atoms(expr):
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
-            yield e
-        elif isinstance(e, Val):
-            yield e
-            stack.extend(e.idxs)
-        elif isinstance(e, (Arith, Cmp)):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, Forall):
-            stack.extend([e.lo, e.hi, e.body])
-
-
 def _string_literals(tree: ConstraintTree) -> list:
     found = []
-
-    def walk(e):
-        if isinstance(e, Lit) and isinstance(e.value, str) and e.value not in found:
-            found.append(e.value)
-        elif isinstance(e, (Arith, Cmp)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, Forall):
-            walk(e.lo)
-            walk(e.hi)
-            walk(e.body)
-        elif isinstance(e, Val):
-            for i in e.idxs:
-                walk(i)
-
     for c in tree.all_constraints() + tree.all_guards():
         if not c.is_unliftable:
-            walk(c.expr)
+            for e in nodes(c.expr):
+                if type(e) is Lit and isinstance(e.value, str) and e.value not in found:
+                    found.append(e.value)
     return found
 
 
@@ -633,7 +580,7 @@ class _ExprPlans:
         self.params = [params_of(e) & param_names for e in exprs]
         # each expr's latest-ordered param, the one repair re-solves
         self.lasts = [max(ps, key=order_index.__getitem__) if ps else None for ps in self.params]
-        self.ndim_params = {a.param for e in exprs for a in _walk_atoms(e) if isinstance(a, Ndim)}
+        self.ndim_params = {a.param for e in exprs for a in atoms(e) if type(a) is Ndim}
         self.plans: dict = {}
 
     def plan(self, name: str, bound: dict) -> _SolvePlan:

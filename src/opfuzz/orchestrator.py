@@ -25,17 +25,6 @@ from .kernel.vm import HandleTable, execute
 PROBE_EVERY = 10
 CHECKPOINT_BASES = (1, 10, 100, 1000)
 
-CAUSALITY_LABELS = (
-    "SHAPE_ZERO_DIM",
-    "SHAPE_BIG_INDEX",
-    "VALUE_ZERO",
-    "VALUE_BIG_INT",
-    "VALUE_NEGATIVE",
-    "TYPE_MISMATCH",
-    "OTHER",
-)
-
-
 class CampaignConfigError(Exception):
     pass
 

@@ -5,9 +5,10 @@ route: per-seed graph reachability instead of a named-set fixpoint for
 taint, an explicit pairwise tournament instead of a keyed min() for call
 paths, exhaustive small-domain enumeration for generation soundness,
 the stdlib `random` calls the random baseline's direct bit draws replace,
-and a plain instruction-by-instruction interpreter for the compiled VM.
-Oracles share only parsed inputs, constants and value types with the code
-under test, never logic.
+a plain instruction-by-instruction interpreter for the compiled VM, and
+the per-node-type constraint walkers and arithmetic that the expression
+core replaced. Oracles share only parsed inputs, constants and value types
+with the code under test, never logic, except where a section says so.
 """
 
 from __future__ import annotations
@@ -16,6 +17,20 @@ import itertools
 import math
 from collections import defaultdict
 
+from opfuzz.constraints import (
+    Arith,
+    AttrRef,
+    Cmp,
+    Dim,
+    Forall,
+    Lit,
+    Ndim,
+    Size,
+    Val,
+    Var,
+    _eval_value,
+    render,
+)
 from opfuzz.generator import RANDOM_STRING_CHARS
 from opfuzz.kernel.ir import (
     ATTR_PYTYPES,
@@ -675,3 +690,283 @@ def reference_execute(kernel: KernelIR, binding: dict, mode: str, handles) -> Ex
         if early is not None:
             return early
     return _RefRun(kernel, binding, handles).run()
+
+
+# -- constraint-AST walkers ----------------------------------------------------
+#
+# The hand-written recursive walkers the traversal core in `constraints`
+# (`children`/`rebuild`/`nodes`/`atoms`/`replace`) replaced, each listing the
+# node types itself. What they pin is which nodes a walk visits, in what
+# order, and how it rebuilds the tree; they read atom values through the
+# package's `_eval_value` and render through its `render`, and fold
+# arithmetic with `reference_arith` below.
+
+
+class ArithFail(Exception):
+    """`reference_arith` found a bad operand, an overflow or a zero divisor."""
+
+
+def reference_arith(op: str, a, b):
+    """The constraint evaluator's own int/float arithmetic before it used
+    the VM's: bools and non-numbers fail, ints stay in signed 64-bit, `/`
+    and `%` truncate toward zero, and an int mixes freely with a float."""
+
+    def check64(v):
+        if v < INT64_MIN or v > INT64_MAX:
+            raise ArithFail()
+        return v
+
+    if isinstance(a, bool) or isinstance(b, bool):
+        raise ArithFail()
+    if isinstance(a, int) and isinstance(b, int):
+        if op == "+":
+            return check64(a + b)
+        if op == "-":
+            return check64(a - b)
+        if op == "*":
+            return check64(a * b)
+        if b == 0:
+            raise ArithFail()
+        if op == "/":
+            return check64(_ref_div(a, b))
+        return check64(a - _ref_div(a, b) * b)
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if b == 0:
+            raise ArithFail()
+        if op == "/":
+            return a / b
+        return math.fmod(a, b)
+    raise ArithFail()
+
+
+def ref_params_of(expr) -> set:
+    out = set()
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
+            out.add(e.param)
+        elif isinstance(e, Val):
+            out.add(e.param)
+            stack.extend(e.idxs)
+        elif isinstance(e, (Arith, Cmp)):
+            stack.append(e.left)
+            stack.append(e.right)
+        elif isinstance(e, Forall):
+            stack.extend([e.lo, e.hi, e.body])
+    return out
+
+
+def ref_walk_atoms(expr):
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
+            yield e
+        elif isinstance(e, Val):
+            yield e
+            stack.extend(e.idxs)
+        elif isinstance(e, (Arith, Cmp)):
+            stack.append(e.left)
+            stack.append(e.right)
+        elif isinstance(e, Forall):
+            stack.extend([e.lo, e.hi, e.body])
+
+
+def ref_val_atoms(expr):
+    out = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Val):
+            out.append(e)
+            stack.extend(e.idxs)
+        elif isinstance(e, (Arith, Cmp)):
+            stack.append(e.left)
+            stack.append(e.right)
+        elif isinstance(e, Forall):
+            stack.extend([e.lo, e.hi, e.body])
+    return out
+
+
+def ref_string_literals(tree) -> list:
+    found = []
+
+    def walk(e):
+        if isinstance(e, Lit) and isinstance(e.value, str) and e.value not in found:
+            found.append(e.value)
+        elif isinstance(e, (Arith, Cmp)):
+            walk(e.left)
+            walk(e.right)
+        elif isinstance(e, Forall):
+            walk(e.lo)
+            walk(e.hi)
+            walk(e.body)
+        elif isinstance(e, Val):
+            for i in e.idxs:
+                walk(i)
+
+    for c in tree.all_constraints() + tree.all_guards():
+        if not c.is_unliftable:
+            walk(c.expr)
+    return found
+
+
+_REF_PRECEDENCE = ("ndim", "shape", "size", "value", "dtype")
+
+
+def _ref_attr_of_atom(atom) -> str:
+    if isinstance(atom, Ndim):
+        return "ndim"
+    if isinstance(atom, Dim):
+        return "shape"
+    if isinstance(atom, Size):
+        return "size"
+    return "value"  # Val and AttrRef
+
+
+def ref_param_attrs(expr) -> dict:
+    out = {}
+
+    def note(param, attr):
+        old = out.get(param)
+        if old is None or _REF_PRECEDENCE.index(attr) < _REF_PRECEDENCE.index(old):
+            out[param] = attr
+
+    def walk(e):
+        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
+            note(e.param, _ref_attr_of_atom(e))
+        elif isinstance(e, Val):
+            note(e.param, "value")
+            for i in e.idxs:
+                walk(i)
+        elif isinstance(e, (Arith, Cmp)):
+            walk(e.left)
+            walk(e.right)
+        elif isinstance(e, Forall):
+            walk(e.body)
+
+    walk(expr)
+    return out
+
+
+def ref_rename_var(expr, old: str, new: str):
+    if isinstance(expr, Var) and expr.name == old:
+        return Var(new)
+    if isinstance(expr, Val):
+        return Val(expr.param, tuple(ref_rename_var(i, old, new) for i in expr.idxs))
+    if isinstance(expr, Arith):
+        return Arith(expr.op, ref_rename_var(expr.left, old, new), ref_rename_var(expr.right, old, new))
+    if isinstance(expr, Cmp):
+        return Cmp(expr.op, ref_rename_var(expr.left, old, new), ref_rename_var(expr.right, old, new))
+    return expr
+
+
+def ref_fold(expr):
+    if isinstance(expr, Arith):
+        left = ref_fold(expr.left)
+        right = ref_fold(expr.right)
+        if isinstance(left, Lit) and isinstance(right, Lit):
+            try:
+                return Lit(reference_arith(expr.op, left.value, right.value))
+            except ArithFail:
+                pass
+        return Arith(expr.op, left, right)
+    if isinstance(expr, Cmp):
+        return Cmp(expr.op, ref_fold(expr.left), ref_fold(expr.right))
+    if isinstance(expr, Val):
+        return Val(expr.param, tuple(ref_fold(i) for i in expr.idxs))
+    if isinstance(expr, Forall):
+        return Forall(expr.var, ref_fold(expr.lo), ref_fold(expr.hi), ref_fold(expr.body))
+    return expr
+
+
+_REF_FLIP = {"<": ">", "<=": ">="}
+
+
+def ref_normalize(expr):
+    expr = ref_fold(expr)
+    if isinstance(expr, Forall):
+        body = expr.body
+        if expr.var != "i":
+            body = ref_rename_var(body, expr.var, "i")
+        return Forall("i", ref_normalize(expr.lo), ref_normalize(expr.hi), ref_normalize(body))
+    if isinstance(expr, Cmp):
+        left, right, op = expr.left, expr.right, expr.op
+        if op in ("<", "<="):
+            left, right = right, left
+            op = _REF_FLIP[op]
+        if op in ("==", "!=") and render(right) < render(left):
+            left, right = right, left
+        return Cmp(op, left, right)
+    return expr
+
+
+def ref_var_only_in_val_indices(expr, var: str) -> bool:
+    if isinstance(expr, Var):
+        return expr.name != var
+    if isinstance(expr, Val):
+        return all(isinstance(i, Var) or ref_var_only_in_val_indices(i, var) for i in expr.idxs)
+    if isinstance(expr, (Arith, Cmp)):
+        return ref_var_only_in_val_indices(expr.left, var) and ref_var_only_in_val_indices(expr.right, var)
+    return True
+
+
+def ref_substitute_bound(expr, bound: dict, keep: str):
+    def sub(e):
+        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
+            if e.param == keep or e.param not in bound:
+                return e
+            return Lit(_eval_value(e, bound, {}))
+        if isinstance(e, Val):
+            idxs = tuple(sub(i) for i in e.idxs)
+            if e.param == keep or e.param not in bound:
+                return Val(e.param, idxs)
+            if all(isinstance(i, Lit) for i in idxs):
+                return Lit(_eval_value(Val(e.param, idxs), bound, {}))
+            return Val(e.param, idxs)
+        if isinstance(e, Arith):
+            return Arith(e.op, sub(e.left), sub(e.right))
+        if isinstance(e, Cmp):
+            return Cmp(e.op, sub(e.left), sub(e.right))
+        if isinstance(e, Forall):
+            return Forall(e.var, sub(e.lo), sub(e.hi), sub(e.body))
+        return e
+
+    return sub(expr)
+
+
+def ref_fold_atoms(expr, bound, keep: str) -> tuple:
+    def folds(e) -> bool:
+        if isinstance(e, Lit):
+            return True
+        if isinstance(e, (AttrRef, Ndim, Size, Dim)):
+            return e.param != keep and e.param in bound
+        if isinstance(e, Val):
+            return e.param != keep and e.param in bound and all(folds(i) for i in e.idxs)
+        return False
+
+    out = []
+
+    def walk(e):
+        if isinstance(e, (AttrRef, Ndim, Size, Dim, Val)) and folds(e):
+            out.append(e)
+        elif isinstance(e, Val):
+            for i in e.idxs:
+                walk(i)
+        elif isinstance(e, (Arith, Cmp)):
+            walk(e.left)
+            walk(e.right)
+        elif isinstance(e, Forall):
+            walk(e.lo)
+            walk(e.hi)
+            walk(e.body)
+
+    walk(expr)
+    return tuple(out)

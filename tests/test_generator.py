@@ -23,7 +23,7 @@ from opfuzz.constraints import (
     params_of,
     parse_constraint,
 )
-from opfuzz import generator, orchestrator
+from opfuzz import constraints, generator, orchestrator
 from opfuzz.corpus import encode_binding
 from opfuzz.generator import (
     GuidedGenerator,
@@ -403,6 +403,12 @@ def test_random_generation_is_pure_in_spec_and_seed(corpus):
 
 def test_tracers_patch_the_generator_the_campaign_calls():
     assert orchestrator.generate_random is generator.generate_random
+
+
+def test_tracers_patch_the_constraint_functions_the_generator_calls():
+    # the per-layer split counts calls through these names in `constraints`
+    assert generator.params_of is constraints.params_of
+    assert generator.evaluate is constraints.evaluate
 
 
 # one param of each kind the random baseline draws
