@@ -23,7 +23,7 @@ from .constraints import (
 )
 from .corpus import Corpus, decode_binding, encode_binding, load_corpus, provision_fixtures
 from .extractor import extract_constraints, extract_raw, find_sinks, propagate_taint, seed_sources
-from .generator import GuidedGenerator, build_control_template, build_data_template, cluster_entities, generate_random
+from .generator import GuidedGenerator, build_control_template, build_data_template, generate_random
 from .orchestrator import (
     CampaignConfig,
     classify_causality,
@@ -32,7 +32,7 @@ from .orchestrator import (
     run_campaign,
     write_report,
 )
-from .registry import OpSpec, Registry, build_registry, parse_opspecs
+from .registry import OpSpec, Registry, build_registry, cluster_entities, parse_opspecs
 
 __version__ = "0.1.0"
 

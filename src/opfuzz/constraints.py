@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .kernel.ir import TensorVal
+from .kernel.parser import scan, token_pattern
 from .kernel.vm import _CMP, _CrashSignal, _bin_op
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -400,7 +401,7 @@ def render(expr) -> str:
             return f"val({expr.param}, " + ", ".join(render(i) for i in expr.idxs) + ")"
         return f"val({expr.param})"
     if isinstance(expr, Arith):
-        return f"{_render_operand(expr.left, expr.op)} {expr.op} {_render_operand(expr.right, expr.op)}"
+        return f"{_render_operand(expr.left, expr.op)} {expr.op} {_render_operand(expr.right, expr.op, right=True)}"
     if isinstance(expr, Cmp):
         return f"{render(expr.left)} {expr.op} {render(expr.right)}"
     if isinstance(expr, Forall):
@@ -413,9 +414,11 @@ def render(expr) -> str:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
 
 
-def _render_operand(child, parent_op: str) -> str:
+def _render_operand(child, parent_op: str, right: bool = False) -> str:
+    """Parenthesize a child the left-associative grammar would regroup: one
+    of lower precedence, or on the right one of equal precedence."""
     text = render(child)
-    if isinstance(child, Arith) and _PREC[child.op] < _PREC[parent_op]:
+    if isinstance(child, Arith) and _PREC[child.op] < _PREC[parent_op] + right:
         return f"({text})"
     return text
 
@@ -481,51 +484,26 @@ def serialize_tree(tree: ConstraintTree) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_TOKENS = token_pattern(
+    r'(?P<str>"[^"]*")|(?P<num>\d[\d.]*)|(?P<ident>[A-Za-z_]\w*)|(?P<op>==|!=|<=|>=|[+\-*/%<>()\[\],:])',
+    skip=r"[ \t]*",
+)
+_CONVERT = {"str": lambda s: s[1:-1], "num": lambda s: float(s) if "." in s else int(s)}
+
+
+def _lex_error(message: str, line: int, col: int) -> ConstraintError:
+    return ConstraintError(f"{message} in constraint text")
+
+
 class _ExprParser:
     """Recursive-descent parser for the lifted grammar (golden-file syntax)."""
 
     ATOMS = ("ndim", "size", "dim", "val")
 
     def __init__(self, text: str, quant_vars=()):
-        self.toks = self._tokenize(text)
+        self.toks = scan(text, _TOKENS, _CONVERT, _lex_error)
         self.pos = 0
         self.quant_vars = set(quant_vars)
-
-    @staticmethod
-    def _tokenize(text: str):
-        toks = []
-        i, n = 0, len(text)
-        while i < n:
-            c = text[i]
-            if c in " \t":
-                i += 1
-            elif c == '"':
-                j = text.index('"', i + 1)
-                toks.append(("str", text[i + 1 : j]))
-                i = j + 1
-            elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit() and _prev_is_operand(toks) is False):
-                j = i + 1
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                lit = text[i:j]
-                toks.append(("num", float(lit) if "." in lit else int(lit)))
-                i = j
-            elif c.isalpha() or c == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(("ident", text[i:j]))
-                i = j
-            elif text[i : i + 2] in ("==", "!=", "<=", ">="):
-                toks.append(("op", text[i : i + 2]))
-                i += 2
-            elif c in "+-*/%<>()[],:":
-                toks.append(("op", c))
-                i += 1
-            else:
-                raise ConstraintError(f"unexpected character {c!r} in constraint text")
-        toks.append(("eof", None))
-        return toks
 
     def peek(self):
         return self.toks[self.pos]
@@ -536,17 +514,17 @@ class _ExprParser:
         return t
 
     def eat(self, kind, value=None):
-        k, v = self.next()
+        k, v, *_ = self.next()
         if k != kind or (value is not None and v != value):
             raise ConstraintError(f"expected {value or kind!r}, got {v!r}")
         return v
 
     def at_op(self, *ops):
-        k, v = self.peek()
+        k, v, *_ = self.peek()
         return k == "op" and v in ops
 
     def parse_constraint(self):
-        k, v = self.peek()
+        k, v, *_ = self.peek()
         if k == "ident" and v == "forall":
             return self.parse_forall()
         return self.parse_cmp()
@@ -568,7 +546,7 @@ class _ExprParser:
 
     def parse_cmp(self):
         left = self.parse_arith()
-        k, v = self.peek()
+        k, v, *_ = self.peek()
         if k == "op" and v in CMP_OPS:
             self.next()
             right = self.parse_arith()
@@ -590,7 +568,7 @@ class _ExprParser:
         return left
 
     def parse_factor(self):
-        k, v = self.peek()
+        k, v, *_ = self.peek()
         if k == "num":
             self.next()
             return Lit(v)
@@ -598,9 +576,14 @@ class _ExprParser:
             self.next()
             return Lit(v)
         if k == "op" and v == "-":
-            self.next()
-            inner = self.parse_factor()
-            return _fold(Arith("-", Lit(0), inner))
+            sign = self.next()
+            k, v, at = self.peek()
+            if k == "num" and at == sign[2] + 1:
+                # a sign written against its number belongs to the literal, so
+                # -0.0 keeps its sign and INT64_MIN its value; `- 0` folds
+                self.next()
+                return Lit(-v)
+            return _fold(Arith("-", Lit(0), self.parse_factor()))
         if k == "op" and v == "(":
             self.next()
             e = self.parse_arith()
@@ -641,13 +624,6 @@ class _ExprParser:
         if self.peek()[0] != "eof":
             raise ConstraintError(f"trailing tokens after constraint: {self.peek()[1]!r}")
         return expr
-
-
-def _prev_is_operand(toks) -> bool:
-    if not toks:
-        return False
-    k, v = toks[-1]
-    return k in ("num", "ident", "str") or (k == "op" and v in (")", "]"))
 
 
 def parse_constraint(text: str):

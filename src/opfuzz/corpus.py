@@ -14,8 +14,8 @@ from pathlib import Path
 from .constraints import ConstraintTree, parse_tree
 from .extractor import extract_constraints
 from .kernel.ir import DType, KernelIR, ResourceRef, TensorVal
-from .kernel.parser import KernelParseError, parse_kernel
-from .registry import DescriptorError, OpSpec, Registry, build_registry, parse_opspecs
+from .kernel.parser import KernelParseError, line_col, parse_kernel, scan, token_pattern
+from .registry import DescriptorError, OpSpec, Registry, build_registry, cluster_entities, parse_opspecs
 
 
 class CorpusError(Exception):
@@ -90,54 +90,19 @@ class Corpus:
 # -- test script parsing --
 
 
-def _tokenize_script(text: str):
-    toks = []
-    i, n = 0, len(text)
-    line = 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == '"':
-            j = text.index('"', i + 1)
-            toks.append(("str", text[i + 1 : j], line))
-            i = j + 1
-        elif c.isdigit():
-            j = i
-            if text[i : i + 2] in ("0x", "0X"):
-                j = i + 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                toks.append(("int", int(text[i:j], 16), line))
-            else:
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(("int", int(text[i:j]), line))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("ident", text[i:j], line))
-            i = j
-        elif c in "{};":
-            toks.append(("punct", c, line))
-            i += 1
-        else:
-            raise CorpusError(f"test script line {line}: unexpected character {c!r}")
-    toks.append(("eof", None, line))
-    return toks
+_TOKENS = token_pattern(
+    r'(?P<str>"[^"]*")|(?P<int>0[xX][0-9a-fA-F]*|\d+)|(?P<ident>[A-Za-z_]\w*)|(?P<punct>[{};])'
+)
+_CONVERT = {"str": lambda s: s[1:-1], "int": lambda s: int(s, 16 if s[1:2] in ("x", "X") else 10)}
+
+
+def _script_error(message: str, line: int, col: int) -> CorpusError:
+    return CorpusError(f"test script line {line}: {message}")
 
 
 def parse_test_script(text: str):
     """Returns (fixtures, sequences) declared by one script."""
-    toks = _tokenize_script(text)
+    toks = scan(text, _TOKENS, _CONVERT, _script_error)
     pos = 0
 
     def next_tok():
@@ -146,10 +111,13 @@ def parse_test_script(text: str):
         pos += 1
         return t
 
+    def fail(offset, message):
+        raise _script_error(message, *line_col(text, offset))
+
     def expect(kind, value=None):
-        k, v, line = next_tok()
+        k, v, at = next_tok()
         if k != kind or (value is not None and v != value):
-            raise CorpusError(f"test script line {line}: expected {value or kind!r}, got {v!r}")
+            fail(at, f"expected {value or kind!r}, got {v!r}")
         return v
 
     fixtures = []
@@ -159,7 +127,7 @@ def parse_test_script(text: str):
         test_name = expect("str")
         expect("punct", "{")
         while not (toks[pos][0] == "punct" and toks[pos][1] == "}"):
-            k, v, line = next_tok()
+            k, v, at = next_tok()
             if (k, v) == ("ident", "fixture"):
                 expect("ident", "file")
                 label = expect("str")
@@ -169,7 +137,7 @@ def parse_test_script(text: str):
                 fill = expect("int")
                 expect("punct", ";")
                 if not 0 <= fill <= 255:
-                    raise CorpusError(f"test script line {line}: fill byte out of range")
+                    fail(at, "fill byte out of range")
                 fixtures.append(FixtureDecl(test_name, label, size, fill))
             elif (k, v) == ("ident", "seq"):
                 ops = []
@@ -177,10 +145,10 @@ def parse_test_script(text: str):
                     ops.append(next_tok()[1])
                 expect("punct", ";")
                 if len(ops) < 2:
-                    raise CorpusError(f"test script line {line}: sequence needs at least two operators")
+                    fail(at, "sequence needs at least two operators")
                 sequences.append(SequenceDecl(test_name, tuple(ops)))
             else:
-                raise CorpusError(f"test script line {line}: unknown statement {v!r}")
+                fail(at, f"unknown statement {v!r}")
         expect("punct", "}")
     return fixtures, sequences
 
@@ -277,10 +245,14 @@ def load_corpus(root: Path | str | None = None) -> Corpus:
             sequences.extend(seqs)
 
     names = {s.name for s in specs}
+    entity_of = {op: e for e, ops in cluster_entities([g.name for g in registry.groups]).items() for op in ops}
     for seq in sequences:
         for op in seq.ops:
             if op not in names:
                 raise CorpusError(f"sequence {seq.name!r} references unknown operator {op!r}")
+        entities = {entity_of.get(op, op) for op in seq.ops}
+        if len(entities) > 1:
+            raise CorpusError(f"sequence {seq.name!r} spans entity groups {sorted(entities)}")
     for op in fixtures:
         if op not in names:
             raise CorpusError(f"fixture declared for unknown operator {op!r}")

@@ -31,7 +31,6 @@ this against a reference that makes those stdlib calls.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 
 from .constraints import (
@@ -70,57 +69,6 @@ STRING_DEFAULTS = ("", "a", "ab")
 WINDOW = 8
 DENSE_ELEMENT_LIMIT = 64
 RANDOM_STRING_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
-
-VERB_LEXICON = frozenset(
-    {
-        "Close",
-        "Create",
-        "Dequeue",
-        "Enqueue",
-        "Find",
-        "Get",
-        "Load",
-        "New",
-        "Open",
-        "Pop",
-        "Push",
-        "Read",
-        "Remove",
-        "Reserve",
-        "Restore",
-        "Save",
-        "Set",
-        "Split",
-        "Write",
-    }
-)
-
-_CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
-
-
-def camel_tokens(name: str) -> list:
-    return _CAMEL.findall(name)
-
-
-def cluster_entities(names) -> dict:
-    """Group operator names by shared entity noun.
-
-    A token is a verb if it sits in the lexicon or appears in a
-    non-leading position in at least two distinct names; the entity is
-    the concatenation of the remaining tokens.
-    """
-    toks = {n: camel_tokens(n) for n in names}
-    nonleading: dict[str, set] = {}
-    for n, ts in toks.items():
-        for t in ts[1:]:
-            nonleading.setdefault(t, set()).add(n)
-    verbs = set(VERB_LEXICON) | {t for t, owners in nonleading.items() if len(owners) >= 2}
-
-    groups: dict[str, list] = {}
-    for n in names:
-        entity = "".join(t for t in toks[n] if t not in verbs) or n
-        groups.setdefault(entity, []).append(n)
-    return groups
 
 
 # -- templates --

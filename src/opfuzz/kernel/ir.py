@@ -215,12 +215,6 @@ class KernelIR:
     # the VM's lowered program, built on the first execute
     compiled: object = field(default=None, init=False, repr=False, compare=False)
 
-    def param(self, name: str) -> ParamDecl:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise EngineError(f"{self.kernel_id}: no param {name!r}")
-
     @cached_property
     def inputs(self) -> list[ParamDecl]:
         return [p for p in self.params if p.role == "input"]

@@ -23,6 +23,8 @@ runtime surprise).
 
 from __future__ import annotations
 
+import re
+
 from .ir import (
     Block,
     DType,
@@ -42,92 +44,73 @@ class KernelParseError(Exception):
         self.col = col
 
 
-_PUNCT2 = ("==", "!=", "<=", ">=", "..")
-_PUNCT1 = "{}()[]<>,;:=+-*/%"
-
 _TENSOR_ELEMS = {"i64": DType.DT_INT64, "f32": DType.DT_FLOAT, "str": DType.DT_STRING, "bool": DType.DT_BOOL}
 _ATTR_TYPES = {"int": DType.INT, "float": DType.FLOAT, "string": DType.STRING, "bool": DType.BOOL}
 
 RESOURCE_VERBS = ("New", "Push", "Pop", "Close", "Find", "Remove")
 
 
-def tokenize(source: str):
-    """Yield (kind, value, line, col); kind in {ident, int, float, str, punct}."""
+_SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
+
+
+def token_pattern(tokens: str, skip: str = _SKIP) -> re.Pattern:
+    """A grammar's master pattern: `skip`, then one of its named token
+    alternatives, a `bad` character or the end of the text.  The last two
+    leave no gap between matches, so `finditer` never resumes inside a
+    comment or past a character it could not read."""
+    return re.compile(f"{skip}(?:{tokens}|(?P<bad>.)|(?P<eof>\\Z))", re.ASCII | re.DOTALL)
+
+
+def line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a token offset, for error messages."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def scan(text: str, pattern: re.Pattern, convert: dict, error) -> list:
+    """Tokens (kind, value, offset) of `text`, ending in ("eof", "", len).
+
+    `convert` maps a kind to the function that turns its lexeme into a
+    value; `error(message, line, col)` builds the grammar's exception for
+    a stray character, an unterminated string or a malformed number.
+    """
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise KernelParseError("unterminated string", line, start_col)
-                j += 1
-            if j >= n:
-                raise KernelParseError("unterminated string", line, start_col)
-            tokens.append(("str", source[i + 1 : j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                tokens.append(("float", float(source[i:j]), line, start_col))
-            else:
-                tokens.append(("int", int(source[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = source[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(("punct", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(("punct", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise KernelParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(("eof", None, line, col))
-    return tokens
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        value = m.group(kind)
+        offset = m.start(kind)
+        if kind == "eof":
+            tokens.append(("eof", "", offset))
+            return tokens
+        if kind == "bad":
+            message = "unterminated string" if value == '"' else f"unexpected character {value!r}"
+            raise error(message, *line_col(text, offset))
+        if kind in convert:
+            try:
+                value = convert[kind](value)
+            except ValueError:
+                raise error(f"malformed number {value!r}", *line_col(text, offset)) from None
+        tokens.append((kind, value, offset))
+
+
+_TOKENS = token_pattern(
+    r'(?P<float>\d+\.\d+)|(?P<int>\d+)|(?P<str>"[^"\n]*")|(?P<ident>[A-Za-z_]\w*)'
+    r"|(?P<punct>==|!=|<=|>=|\.\.|[{}()\[\]<>,;:=+\-*/%])"
+)
+_CONVERT = {"float": float, "int": int, "str": lambda s: s[1:-1]}
+
+
+def tokenize(source: str) -> list:
+    """Tokens (kind, value, offset); kind in {ident, int, float, str, punct, eof}."""
+    return scan(source, _TOKENS, _CONVERT, KernelParseError)
 
 
 class _Lowerer:
     """Single-pass parse + lowering.  Expressions evaluate into fresh value
     ids appended to the current block; statements shape the CFG."""
 
-    def __init__(self, tokens):
-        self.toks = tokens
+    def __init__(self, source: str):
+        self.source = source
+        self.toks = tokenize(source)
         self.pos = 0
         self.blocks: list[Block] = []
         self.cur: Block | None = None
@@ -152,7 +135,7 @@ class _Lowerer:
 
     def error(self, msg: str, tok=None):
         tok = tok or self.peek()
-        raise KernelParseError(msg, tok[2], tok[3])
+        raise KernelParseError(msg, *line_col(self.source, tok[2]))
 
     def expect_punct(self, p: str):
         k, v, *_ = self.peek()
@@ -606,7 +589,7 @@ class _Lowerer:
         return self.parse_primary()
 
     def parse_primary(self):
-        k, v, line, col = self.peek()
+        k, v, _ = self.peek()
         if k == "int":
             self.next()
             return self.emit_const(v), "int"
@@ -674,8 +657,7 @@ class _Lowerer:
 
 
 def parse_kernel(source: str) -> KernelIR:
-    lowerer = _Lowerer(tokenize(source))
-    return lowerer.parse_kernel()
+    return _Lowerer(source).parse_kernel()
 
 
 def def_map(kernel: KernelIR) -> dict[int, Instruction]:

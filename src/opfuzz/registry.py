@@ -3,16 +3,19 @@
 Parses `.ops` descriptor files into OpSpec records, places every operator in
 a module tree keeping the shortest declared call path, collapses operators
 that share a (name, parameter signature, kernel) into one testable group,
-and partitions operators by backend kernel for input reuse.
+partitions operators by backend kernel for input reuse, and clusters
+operator names by the entity noun they act on.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 from .kernel.ir import DType, ParamDecl
+from .kernel.parser import line_col, scan, token_pattern
 
 log = logging.getLogger(__name__)
 
@@ -74,69 +77,18 @@ class OpSpec:
     def attrs(self) -> tuple[ParamDecl, ...]:
         return tuple(p for p in self.params if p.role == "attr")
 
-    def param(self, name: str) -> ParamDecl:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def signature(self) -> tuple:
         return tuple((p.name, p.role, p.dtype, p.container, p.entity) for p in self.params)
 
 
-def _tokenize(text: str):
-    toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == '"':
-            start_l, start_c = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise DescriptorError("unterminated string", start_l, start_c)
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise DescriptorError("unterminated string", start_l, start_c)
-            i += 1
-            col += 1
-            toks.append(("str", "".join(buf), start_l, start_c))
-        elif c.isalpha() or c == "_":
-            start_l, start_c = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("ident", text[i:j], start_l, start_c))
-            col += j - i
-            i = j
-        elif c in "{}:":
-            toks.append(("punct", c, line, col))
-            i += 1
-            col += 1
-        else:
-            raise DescriptorError(f"unexpected character {c!r}", line, col)
-    toks.append(("eof", "", line, col))
-    return toks
+_TOKENS = token_pattern(r'(?P<str>"[^"\n]*")|(?P<ident>[A-Za-z_]\w*)|(?P<punct>[{}:])')
+_CONVERT = {"str": lambda s: s[1:-1]}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks = scan(text, _TOKENS, _CONVERT, DescriptorError)
         self.pos = 0
 
     def peek(self):
@@ -149,7 +101,7 @@ class _Parser:
 
     def error(self, message, tok=None):
         tok = tok or self.peek()
-        raise DescriptorError(message, tok[2], tok[3])
+        raise DescriptorError(message, *line_col(self.text, tok[2]))
 
     def expect_punct(self, p):
         t = self.next()
@@ -389,6 +341,58 @@ def group_by_kernel(specs: list[OpSpec], known_kernels: set | None = None) -> di
     for names in out.values():
         names.sort()
     return out
+
+
+VERB_LEXICON = frozenset(
+    {
+        "Close",
+        "Create",
+        "Dequeue",
+        "Enqueue",
+        "Find",
+        "Get",
+        "Load",
+        "New",
+        "Open",
+        "Pop",
+        "Push",
+        "Read",
+        "Remove",
+        "Reserve",
+        "Restore",
+        "Save",
+        "Set",
+        "Split",
+        "Write",
+    }
+)
+
+_CAMEL = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
+
+
+def camel_tokens(name: str) -> list:
+    return _CAMEL.findall(name)
+
+
+def cluster_entities(names) -> dict:
+    """Group operator names by shared entity noun.
+
+    A token is a verb if it sits in the lexicon or appears in a
+    non-leading position in at least two distinct names; the entity is
+    the concatenation of the remaining tokens.
+    """
+    toks = {n: camel_tokens(n) for n in names}
+    nonleading: dict[str, set] = {}
+    for n, ts in toks.items():
+        for t in ts[1:]:
+            nonleading.setdefault(t, set()).add(n)
+    verbs = set(VERB_LEXICON) | {t for t, owners in nonleading.items() if len(owners) >= 2}
+
+    groups: dict[str, list] = {}
+    for n in names:
+        entity = "".join(t for t in toks[n] if t not in verbs) or n
+        groups.setdefault(entity, []).append(n)
+    return groups
 
 
 @dataclass

@@ -5,9 +5,9 @@ route: per-seed graph reachability instead of a named-set fixpoint for
 taint, an explicit pairwise tournament instead of a keyed min() for call
 paths, exhaustive small-domain enumeration for generation soundness,
 the stdlib `random` calls the random baseline's direct bit draws replace,
-a plain instruction-by-instruction interpreter for the compiled VM, and
+a plain instruction-by-instruction interpreter for the compiled VM,
 the per-node-type constraint walkers and arithmetic that the expression
-core replaced. Oracles share only parsed inputs, constants and value types
+core replaced, and the hand-written lexers the regex scanner replaced. Oracles share only parsed inputs, constants and value types
 with the code under test, never logic, except where a section says so.
 """
 
@@ -21,6 +21,7 @@ from opfuzz.constraints import (
     Arith,
     AttrRef,
     Cmp,
+    ConstraintError,
     Dim,
     Forall,
     Lit,
@@ -29,8 +30,11 @@ from opfuzz.constraints import (
     Val,
     Var,
     _eval_value,
+    _ExprParser,
+    _fold,
     render,
 )
+from opfuzz.corpus import CorpusError
 from opfuzz.generator import RANDOM_STRING_CHARS
 from opfuzz.kernel.ir import (
     ATTR_PYTYPES,
@@ -46,6 +50,8 @@ from opfuzz.kernel.ir import (
     TensorVal,
     ValidationReject,
 )
+from opfuzz.kernel.parser import KernelParseError
+from opfuzz.registry import DescriptorError
 
 # -- call-path placement -------------------------------------------------------
 
@@ -970,3 +976,250 @@ def ref_fold_atoms(expr, bound, keep: str) -> tuple:
 
     walk(expr)
     return tuple(out)
+
+
+# -- the hand-written lexers ---------------------------------------------------
+
+# The four character loops the regex scanner (`kernel.parser.scan`) replaced,
+# one per input language, copied unchanged apart from their names. Kernel
+# and descriptor tokens are (kind, value, line, col), script tokens
+# (kind, value, line), constraint tokens (kind, value). They raise the
+# package's error types, and the constraint one leaves its parsing to
+# `RefExprParser` below.
+
+_REF_PUNCT2 = ("==", "!=", "<=", ">=", "..")
+_REF_PUNCT1 = "{}()[]<>,;:=+-*/%"
+
+
+def ref_kernel_tokenize(source: str):
+    """Yield (kind, value, line, col); kind in {ident, int, float, str, punct}."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if c == '"':
+            j = i + 1
+            while j < n and source[j] != '"':
+                if source[j] == "\n":
+                    raise KernelParseError("unterminated string", line, start_col)
+                j += 1
+            if j >= n:
+                raise KernelParseError("unterminated string", line, start_col)
+            tokens.append(("str", source[i + 1 : j], line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+                j += 1
+                while j < n and source[j].isdigit():
+                    j += 1
+                tokens.append(("float", float(source[i:j]), line, start_col))
+            else:
+                tokens.append(("int", int(source[i:j]), line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("ident", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        two = source[i : i + 2]
+        if two in _REF_PUNCT2:
+            tokens.append(("punct", two, line, start_col))
+            i += 2
+            col += 2
+            continue
+        if c in _REF_PUNCT1:
+            tokens.append(("punct", c, line, start_col))
+            i += 1
+            col += 1
+            continue
+        raise KernelParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(("eof", None, line, col))
+    return tokens
+
+
+def ref_descriptor_tokenize(text: str):
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c in " \t\r":
+            i += 1
+            col += 1
+        elif c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c == '"':
+            start_l, start_c = line, col
+            i += 1
+            col += 1
+            buf = []
+            while i < n and text[i] != '"':
+                if text[i] == "\n":
+                    raise DescriptorError("unterminated string", start_l, start_c)
+                buf.append(text[i])
+                i += 1
+                col += 1
+            if i >= n:
+                raise DescriptorError("unterminated string", start_l, start_c)
+            i += 1
+            col += 1
+            toks.append(("str", "".join(buf), start_l, start_c))
+        elif c.isalpha() or c == "_":
+            start_l, start_c = line, col
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("ident", text[i:j], start_l, start_c))
+            col += j - i
+            i = j
+        elif c in "{}:":
+            toks.append(("punct", c, line, col))
+            i += 1
+            col += 1
+        else:
+            raise DescriptorError(f"unexpected character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def ref_script_tokenize(text: str):
+    toks = []
+    i, n = 0, len(text)
+    line = 1
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            i += 1
+        elif c in " \t\r":
+            i += 1
+        elif c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c == '"':
+            j = text.index('"', i + 1)
+            toks.append(("str", text[i + 1 : j], line))
+            i = j + 1
+        elif c.isdigit():
+            j = i
+            if text[i : i + 2] in ("0x", "0X"):
+                j = i + 2
+                while j < n and text[j] in "0123456789abcdefABCDEF":
+                    j += 1
+                toks.append(("int", int(text[i:j], 16), line))
+            else:
+                while j < n and text[j].isdigit():
+                    j += 1
+                toks.append(("int", int(text[i:j]), line))
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("ident", text[i:j], line))
+            i = j
+        elif c in "{};":
+            toks.append(("punct", c, line))
+            i += 1
+        else:
+            raise CorpusError(f"test script line {line}: unexpected character {c!r}")
+    toks.append(("eof", None, line))
+    return toks
+
+
+def ref_constraint_tokenize(text: str):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t":
+            i += 1
+        elif c == '"':
+            j = text.index('"', i + 1)
+            toks.append(("str", text[i + 1 : j]))
+            i = j + 1
+        elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit() and _ref_prev_is_operand(toks) is False):
+            j = i + 1
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            lit = text[i:j]
+            toks.append(("num", float(lit) if "." in lit else int(lit)))
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("ident", text[i:j]))
+            i = j
+        elif text[i : i + 2] in ("==", "!=", "<=", ">="):
+            toks.append(("op", text[i : i + 2]))
+            i += 2
+        elif c in "+-*/%<>()[],:":
+            toks.append(("op", c))
+            i += 1
+        else:
+            raise ConstraintError(f"unexpected character {c!r} in constraint text")
+    toks.append(("eof", None))
+    return toks
+
+
+def _ref_prev_is_operand(toks) -> bool:
+    if not toks:
+        return False
+    k, v = toks[-1]
+    return k in ("num", "ident", "str") or (k == "op" and v in (")", "]"))
+
+
+class RefExprParser(_ExprParser):
+    """The constraint parser over the hand-written constraint lexer's tokens.
+
+    That lexer folded a `-` into the number after it unless the previous
+    token was an operand, so the parser's minus rule is the old one: any
+    `-` in factor position is `0 - factor`, folded.
+    """
+
+    def __init__(self, text: str):
+        self.toks = ref_constraint_tokenize(text)
+        self.pos = 0
+        self.quant_vars = set()
+
+    def parse_factor(self):
+        if self.at_op("-"):
+            self.next()
+            return _fold(Arith("-", Lit(0), self.parse_factor()))
+        return super().parse_factor()
+
+
+def ref_parse_constraint(text: str):
+    p = RefExprParser(text)
+    return p.finish(p.parse_constraint())

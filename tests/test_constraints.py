@@ -14,6 +14,7 @@ from opfuzz.constraints import (
     AttrRef,
     Cmp,
     Constraint,
+    ConstraintError,
     ConstraintTree,
     Dim,
     Forall,
@@ -36,7 +37,7 @@ from opfuzz.constraints import (
     toposort_params,
     tree_equal,
 )
-from opfuzz.kernel.ir import DType, ParamDecl, TensorVal
+from opfuzz.kernel.ir import INT64_MIN, DType, ParamDecl, TensorVal
 
 
 class FakeSpec:
@@ -229,9 +230,16 @@ def test_tree_equal_detects_differences(corpus):
     assert not tree_equal(tree, mutated)
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(Exception):
-        parse_constraint("ndim(x) ==")
+@pytest.mark.parametrize("text", ["ndim(x) ==", 'val(x) == "abc', "val(x) == 1.2.3"])
+def test_parse_rejects_garbage(text):
+    with pytest.raises(ConstraintError):
+        parse_constraint(text)
+
+
+def test_render_keeps_right_grouping():
+    grouped, flat = parse_constraint("n - (m - k) == 0"), parse_constraint("n - m - k == 0")
+    assert render(grouped) == "n - (m - k) == 0"
+    assert not tree_equal(ConstraintTree("K", [Constraint(grouped)]), ConstraintTree("K", [Constraint(flat)]))
 
 
 # -- params and ordering --
@@ -347,9 +355,9 @@ def test_dependency_count_parts(corpus, manifest):
 _PARAMS = ("n", "m")
 
 
-def _exprs():
+def _exprs(literals=st.integers(-5, 5)):
     atoms = st.one_of(
-        st.integers(-5, 5).map(Lit),
+        literals.map(Lit),
         st.sampled_from(_PARAMS).map(AttrRef),
     )
 
@@ -377,3 +385,15 @@ def test_normalize_preserves_evaluation(expr, n, m):
 def test_normalize_is_idempotent(expr):
     once = normalize(expr)
     assert normal_form(once) == normal_form(normalize(once))
+
+
+_WIDE_LITERALS = st.integers(-5, 5) | st.sampled_from([-1000, INT64_MIN, -0.0, -2.5, 2.5])
+
+
+@given(expr=_exprs(_WIDE_LITERALS))
+@settings(max_examples=300, deadline=None)
+def test_render_round_trips(expr):
+    text = render(expr)
+    again = parse_constraint(text)
+    assert again == expr
+    assert render(again) == text

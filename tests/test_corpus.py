@@ -124,6 +124,13 @@ def test_sequence_with_unknown_op_is_fatal(tmp_path):
         load_corpus(write_corpus(tmp_path, test=test))
 
 
+def test_sequence_across_entity_groups_is_fatal(tmp_path):
+    other = MINI_OPS.replace('name: "Mini"', 'name: "Other"')
+    test = 'test "T" { seq Mini Other; }\n'
+    with pytest.raises(CorpusError, match="spans entity groups"):
+        load_corpus(write_corpus(tmp_path, ops=MINI_OPS + other, test=test))
+
+
 def test_fixture_for_unknown_op_is_fatal(tmp_path):
     test = 'test "T" { fixture file "f" bytes 4 fill 0x00; }\n'
     # fixture binds to the enclosing test name, which is not an operator
@@ -150,6 +157,7 @@ def test_script_parses_fixture_and_sequence():
         ('test "T" { fixture file "f" bytes 4 fill 999; }', "out of range"),
         ('test "T" { dance; }', "unknown statement"),
         ('test "T" { seq A B', "expected"),
+        ('test "a', "line 1: unterminated string"),
     ],
 )
 def test_script_errors(text, fragment):

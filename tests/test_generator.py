@@ -36,14 +36,12 @@ from opfuzz.generator import (
     _choice_vectors,
     build_control_template,
     build_data_template,
-    camel_tokens,
-    cluster_entities,
     describe_templates,
     generate_random,
 )
 from opfuzz.kernel.ir import DType, EngineError, ParamDecl, ResourceRef, TensorVal
 from opfuzz.kernel.vm import HandleTable, execute
-from opfuzz.registry import OpSpec
+from opfuzz.registry import OpSpec, camel_tokens, cluster_entities
 
 from _oracles import reference_generate_random
 

@@ -105,6 +105,8 @@ def test_params_and_outputs_lowered():
         ("kernel K { input x : tensor<i64> }", ";"),
         ("kernel K { input x : tensor<i64>; emit }", "identifier"),
         ("kernel K { input x : tensor<i64>; x = 1; }", "x"),
+        ('kernel K { require 1 > 0, "m; }', "unterminated string"),
+        ("kernel K { ~ }", "unexpected character '~'"),
     ],
 )
 def test_parse_errors(source, fragment):
@@ -117,5 +119,25 @@ def test_error_carries_position():
         parse_kernel("kernel K {\n  require y > 0, \"m\";\n}")
     except KernelParseError as e:
         assert e.args and "y" in str(e)
+        assert e.line == 2 and e.col == 11
     else:
         pytest.fail("expected a parse error")
+
+
+def test_float_literal_and_unary_minus_lower_to_constants():
+    kern = parse_kernel(
+        """
+kernel FloatKernel {
+  input x : tensor<f32>;
+  output y : tensor<f32>;
+  t = -x[0] * 2.5;
+  require t <= -1.25, "small";
+  emit y = x;
+}
+"""
+    )
+    consts = [inst.args[0] for b in kern.blocks for inst in b.instrs if inst.opcode == "const"]
+    assert 2.5 in consts and -1.25 not in consts
+    assert any(c == 0.0 and isinstance(c, float) for c in consts)
+    negations = [inst for b in kern.blocks for inst in b.instrs if inst.opcode == "bin" and inst.args[0] == "-"]
+    assert len(negations) == 2

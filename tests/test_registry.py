@@ -119,6 +119,8 @@ def test_corpus_contains_one_true_duplicate_pair(corpus):
             'op { name: "A" module: "m" input_arg { name: "h" type: DT_RESOURCE } }',
             "entity",
         ),
+        ('op { name: "A }', "unterminated string at line 1, col 12"),
+        ('op {\n  ~ }', "unexpected character '~' at line 2, col 3"),
     ],
 )
 def test_descriptor_parse_errors(text, fragment):
