@@ -2,7 +2,7 @@
 
 import pytest
 
-from opfuzz.constraints import Cmp, Forall, render, tree_equal
+from opfuzz.constraints import Cmp, Forall, render, serialize_tree, tree_equal
 from opfuzz.extractor import (
     ExtractionError,
     extract_constraints,
@@ -239,3 +239,67 @@ def test_guard_expressions_are_cmp_or_unliftable(corpus):
         tree = corpus.golden_tree(name)
         for guard in tree.all_guards():
             assert isinstance(guard.expr, Cmp) or guard.is_unliftable, name
+
+
+def _edge_kernel(body: str):
+    return parse_kernel(
+        "kernel K {\n  attr n : int;\n  input x : tensor<i64>;\n  output y : tensor<i64>;\n  "
+        + body
+        + "\n  emit y = x;\n}\n"
+    )
+
+
+# (statements, serialized tree, skipped mixed loops, skipped untainted requires)
+_EDGE_PINS = {
+    "not": ('require not (n > 0), "np";', "n <= 0\n", 0, 0),
+    "not-over-conjunction": (
+        'require not (n > 0 and n < 5), "nc";',
+        "unliftable(negation of a non-comparison)\n",
+        0,
+        0,
+    ),
+    "and-true": ('require n > 0 and true, "at";', "n > 0\n", 0, 0),
+    "and-false": ('require n > 0 and false, "af";', "n > 0\n1 == 0\n", 0, 0),
+    "conjunction-guard": (
+        'if n > 0 and n < 5 { require rank(x) == 1, "a"; } else { require rank(x) == 2, "b"; }',
+        "branch: unliftable(conjunction guard)\n  ndim(x) == 1\n"
+        "branch: unliftable(negation of a conjunction)\n  ndim(x) == 2\n",
+        0,
+        0,
+    ),
+    "dim-attr-axis": ('require dim(x, n) > 0, "da";', "unliftable(non-constant dim axis)\n", 0, 0),
+    "else-only": ('if n > 0 { emit y = x; } else { require size(x) > 0, "e"; }', "branch: n <= 0\n  size(x) > 0\n", 0, 0),
+    "nested-if": (
+        'if n > 0 { if rank(x) > 1 { require dim(x, 1) == n, "in"; } require rank(x) < 4, "out"; }',
+        "branch: n > 0\n  ndim(x) < 4\n  branch: ndim(x) > 1\n    dim(x, 1) == n\n",
+        0,
+        0,
+    ),
+    "loop-conjunction-and-not": (
+        'for i in 0..size(x) { require x[i] > 0 and x[i] < n, "c"; require not (x[i] == 3), "d"; }',
+        "forall i in [0, size(x)): val(x, i) > 0\n"
+        "forall i in [0, size(x)): val(x, i) < n\n"
+        "forall i in [0, size(x)): val(x, i) != 3\n",
+        0,
+        0,
+    ),
+    "loop-in-if": (
+        'if n > 0 { for i in 0..n { require x[i] >= 0, "l"; } }',
+        "branch: n > 0\n  forall i in [0, n): val(x, i) >= 0\n",
+        0,
+        0,
+    ),
+    "counters-only": (
+        'if n > 0 { require 1 == 1, "u"; } for i in 0..n { require x[i] > 0, "m"; if x[i] > 1 { emit y = x; } }',
+        "",
+        1,
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_PINS))
+def test_edge_kernel_trees_are_pinned(case):
+    body, text, mixed, untainted = _EDGE_PINS[case]
+    tree = extract_constraints(_edge_kernel(body))
+    assert (serialize_tree(tree), tree.skipped_mixed_loops, tree.skipped_untainted) == (text, mixed, untainted)
