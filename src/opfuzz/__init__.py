@@ -22,7 +22,7 @@ from .constraints import (
     tree_equal,
 )
 from .corpus import Corpus, decode_binding, encode_binding, load_corpus, provision_fixtures
-from .extractor import extract_constraints, extract_raw, find_sinks, propagate_taint, seed_sources
+from .extractor import extract_constraints, find_sinks, propagate_taint, seed_sources
 from .generator import GuidedGenerator, build_control_template, build_data_template, generate_random
 from .orchestrator import (
     CampaignConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "evaluate",
     "evaluate_tree",
     "extract_constraints",
-    "extract_raw",
     "find_sinks",
     "generate_random",
     "load_corpus",

@@ -135,24 +135,20 @@ class ConstraintTree:
     skipped_mixed_loops: int = 0
     skipped_untainted: int = 0
 
+    def branch_nodes(self):
+        """Every branch node, pre-order, left to right."""
+        stack = self.branches[::-1]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.branches))
+
     def all_constraints(self):
         """Every validation constraint, root and branch-nested."""
-        out = list(self.constraints)
-        stack = list(self.branches)
-        while stack:
-            node = stack.pop()
-            out.extend(node.constraints)
-            stack.extend(node.branches)
-        return out
+        return self.constraints + [c for node in self.branch_nodes() for c in node.constraints]
 
     def all_guards(self):
-        out = []
-        stack = list(self.branches)
-        while stack:
-            node = stack.pop()
-            out.append(node.guard)
-            stack.extend(node.branches)
-        return out
+        return [node.guard for node in self.branch_nodes()]
 
 
 # -- traversal core --
@@ -385,7 +381,13 @@ def render(expr) -> str:
             return '"' + expr.value + '"'
         if isinstance(expr.value, bool):
             return "true" if expr.value else "false"
-        return repr(expr.value)
+        text = repr(expr.value)
+        if "e" in text:  # the grammar reads no exponent: write the float positionally
+            from decimal import Decimal  # imported here: loading it costs every run 0.3 MB
+
+            text = format(Decimal(text), "f")
+            text += "" if "." in text else ".0"
+        return text
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, AttrRef):

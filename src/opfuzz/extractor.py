@@ -1,14 +1,15 @@
 """Kernel-side constraint extraction.
 
-Pipeline: seed taint at parameter fetches, propagate to a fixpoint,
-mark tainted conditional branches with a failure-block successor as
-sinks, walk the structured regions to build a tree of raw IR
-predicates, then lift those into frontend-parameter expressions.
+Pipeline: seed taint at parameter fetches, propagate to a fixpoint, mark
+tainted conditional branches with a failure-block successor as sinks, then
+walk the kernel's structured regions once, lifting each sink-bearing
+require into frontend-parameter expressions where the walk reaches it and
+appending them to the constraint tree node it belongs to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constraints import (
     Arith,
@@ -156,91 +157,6 @@ def find_sinks(kernel: KernelIR, taint: dict | None = None) -> list:
     return sinks
 
 
-# -- raw extraction over regions --
-
-
-@dataclass
-class RawConstraint:
-    cond_id: int
-    pass_on_true: bool
-    block: int
-    message: str
-    quant: tuple | None = None  # (var_id, lo_id, hi_id)
-
-
-@dataclass
-class RawBranch:
-    guard_id: int
-    negate: bool
-    block: int
-    node: "RawNode"
-
-
-@dataclass
-class RawNode:
-    constraints: list = field(default_factory=list)
-    branches: list = field(default_factory=list)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.constraints and not self.branches
-
-
-@dataclass
-class RawTree:
-    kernel_id: str
-    root: RawNode
-    mixed_loops: int = 0
-    untainted_requires: int = 0
-
-
-def extract_raw(kernel: KernelIR, sinks: list | None = None) -> RawTree:
-    """Region walk: requires become constraints, sink-bearing ifs become
-    branches, all-require loop bodies become quantified constraints, and
-    loops mixing requires with nested control flow are skipped whole."""
-    if sinks is None:
-        sinks = find_sinks(kernel)
-    by_block = {s.block: s for s in sinks}
-    tree = RawTree(kernel.kernel_id, RawNode())
-
-    def require_constraint(region: RequireRegion, quant=None) -> RawConstraint | None:
-        site = by_block.get(region.block)
-        if site is None:
-            tree.untainted_requires += 1
-            return None
-        return RawConstraint(region.cond_id, site.pass_on_true, region.block, region.message, quant)
-
-    def walk(regions) -> RawNode:
-        node = RawNode()
-        for region in regions:
-            if isinstance(region, RequireRegion):
-                c = require_constraint(region)
-                if c is not None:
-                    node.constraints.append(c)
-            elif isinstance(region, IfRegion):
-                then_node = walk(region.then_regions)
-                else_node = walk(region.else_regions)
-                if not then_node.is_empty:
-                    node.branches.append(RawBranch(region.guard_id, False, region.block, then_node))
-                if not else_node.is_empty:
-                    node.branches.append(RawBranch(region.guard_id, True, region.block, else_node))
-            elif isinstance(region, LoopRegion):
-                if all(isinstance(r, RequireRegion) for r in region.body_regions):
-                    quant = (region.var_id, region.lo_id, region.hi_id)
-                    for r in region.body_regions:
-                        c = require_constraint(r, quant)
-                        if c is not None:
-                            node.constraints.append(c)
-                else:
-                    tree.mixed_loops += 1
-            else:
-                raise ExtractionError(f"unknown region type {type(region).__name__}")
-        return node
-
-    tree.root = walk(kernel.regions)
-    return tree
-
-
 # -- lifting --
 
 
@@ -248,6 +164,15 @@ class _Unliftable(Exception):
     def __init__(self, note: str):
         super().__init__(note)
         self.note = note
+
+
+def _negated(exprs: list, note: str) -> list:
+    """The negation of a one-comparison conjunction; a longer one has none
+    in the grammar, so it is unliftable with `note`."""
+    if len(exprs) != 1:
+        raise _Unliftable(note)
+    (c,) = exprs
+    return [Cmp(NEGATE_CMP[c.op], c.left, c.right)]
 
 
 class _Lifter:
@@ -306,11 +231,7 @@ class _Lifter:
             if lop == "and":
                 return self.predicate(a, qvars) + self.predicate(b, qvars)
             if lop == "not":
-                inner = self.predicate(a, qvars)
-                if len(inner) == 1 and isinstance(inner[0], Cmp):
-                    c = inner[0]
-                    return [Cmp(NEGATE_CMP[c.op], c.left, c.right)]
-                raise _Unliftable("negation of a non-comparison")
+                return _negated(self.predicate(a, qvars), "negation of a non-comparison")
             raise _Unliftable("disjunction in a predicate")
         if inst.opcode == "const" and isinstance(inst.args[0], bool):
             return [Cmp("==", Lit(1), Lit(1 if inst.args[0] else 0))]
@@ -336,76 +257,82 @@ def _finalize(expr):
     return folded
 
 
-def lift_constraints(raw: RawTree, kernel: KernelIR) -> ConstraintTree:
+def extract_constraints(kernel: KernelIR) -> ConstraintTree:
+    """Taint, sinks, then one walk over the region skeleton that lifts each
+    tainted require where it stands."""
+    by_block = {s.block: s for s in find_sinks(kernel)}
     lifter = _Lifter(kernel)
-    tree = ConstraintTree(
-        raw.kernel_id,
-        skipped_mixed_loops=raw.mixed_loops,
-        skipped_untainted=raw.untainted_requires,
-    )
+    tree = ConstraintTree(kernel.kernel_id)
 
-    def lift_one(rc: RawConstraint) -> list:
+    def lift_require(region: RequireRegion, loop: LoopRegion | None) -> list | None:
+        """The require's constraints; None if it holds no sink."""
+        site = by_block.get(region.block)
+        if site is None:
+            tree.skipped_untainted += 1
+            return None
         try:
-            if rc.quant is None:
-                exprs = lifter.predicate(rc.cond_id, {})
-                if not rc.pass_on_true:
-                    if len(exprs) != 1:
-                        raise _Unliftable("negation of a conjunction")
-                    exprs = [Cmp(NEGATE_CMP[exprs[0].op], exprs[0].left, exprs[0].right)]
+            if loop is None:
+                exprs = lifter.predicate(region.cond_id, {})
             else:
-                var_id, lo_id, hi_id = rc.quant
-                lo = lifter.value(lo_id, {})
-                hi = lifter.value(hi_id, {})
-                qvars = {var_id: Var("i")}
-                bodies = lifter.predicate(rc.cond_id, qvars)
-                if not rc.pass_on_true:
-                    if len(bodies) != 1:
-                        raise _Unliftable("negation of a conjunction")
-                    bodies = [Cmp(NEGATE_CMP[bodies[0].op], bodies[0].left, bodies[0].right)]
-                exprs = [Forall("i", lo, hi, b) for b in bodies]
+                lo = lifter.value(loop.lo_id, {})
+                hi = lifter.value(loop.hi_id, {})
+                exprs = lifter.predicate(region.cond_id, {loop.var_id: Var("i")})
+            if not site.pass_on_true:
+                exprs = _negated(exprs, "negation of a conjunction")
         except _Unliftable as e:
-            return [Constraint(Unliftable(e.note), rc.block, rc.message)]
-        out = []
-        for e in exprs:
-            final = _finalize(e)
-            if final is not None:
-                out.append(Constraint(final, rc.block, rc.message))
-        return out
+            return [Constraint(Unliftable(e.note), region.block, region.message)]
+        if loop is not None:
+            exprs = [Forall("i", lo, hi, b) for b in exprs]
+        finals = (_finalize(e) for e in exprs)
+        return [Constraint(f, region.block, region.message) for f in finals if f is not None]
 
-    def lift_guard(br: RawBranch) -> Constraint:
+    def lift_guard(region: IfRegion, negate: bool) -> Constraint:
         try:
-            exprs = lifter.predicate(br.guard_id, {})
-            if br.negate:
-                if len(exprs) != 1:
-                    raise _Unliftable("negation of a conjunction")
-                exprs = [Cmp(NEGATE_CMP[exprs[0].op], exprs[0].left, exprs[0].right)]
+            exprs = lifter.predicate(region.guard_id, {})
+            if negate:
+                exprs = _negated(exprs, "negation of a conjunction")
             if len(exprs) != 1:
                 raise _Unliftable("conjunction guard")
-            return Constraint(_fold(exprs[0]), br.block, "")
+            return Constraint(_fold(exprs[0]), region.block, "")
         except _Unliftable as e:
-            return Constraint(Unliftable(e.note), br.block, "")
+            return Constraint(Unliftable(e.note), region.block, "")
 
-    def lift_node(raw_node: RawNode, constraints: list, branches: list):
+    def walk(regions, node) -> bool:
+        """Lift `regions` into `node`; whether they hold a tainted require.
+        Sink-bearing if arms become branches, all-require loop bodies
+        quantified constraints, and loops mixing requires with nested
+        control flow are skipped whole."""
         seen = set()
-        for rc in raw_node.constraints:
-            for c in lift_one(rc):
-                key = normal_form(c.expr) if not c.is_unliftable else repr(c.expr)
-                if key in seen:
+        tainted = False
+        for region in regions:
+            if isinstance(region, IfRegion):
+                for negate, arm in ((False, region.then_regions), (True, region.else_regions)):
+                    branch = LogicalNode(None)
+                    if walk(arm, branch):
+                        branch.guard = lift_guard(region, negate)
+                        node.branches.append(branch)
+                        tainted = True
+                continue
+            if isinstance(region, RequireRegion):
+                requires, loop = [region], None
+            elif isinstance(region, LoopRegion):
+                if not all(isinstance(r, RequireRegion) for r in region.body_regions):
+                    tree.skipped_mixed_loops += 1
                     continue
-                seen.add(key)
-                constraints.append(c)
-        for rb in raw_node.branches:
-            node = LogicalNode(lift_guard(rb))
-            lift_node(rb.node, node.constraints, node.branches)
-            branches.append(node)
+                requires, loop = region.body_regions, region
+            else:
+                raise ExtractionError(f"unknown region type {type(region).__name__}")
+            for r in requires:
+                lifted = lift_require(r, loop)
+                if lifted is None:
+                    continue
+                tainted = True
+                for c in lifted:
+                    key = normal_form(c.expr) if not c.is_unliftable else repr(c.expr)
+                    if key not in seen:
+                        seen.add(key)
+                        node.constraints.append(c)
+        return tainted
 
-    lift_node(raw.root, tree.constraints, tree.branches)
+    walk(kernel.regions, tree)
     return tree
-
-
-def extract_constraints(kernel: KernelIR) -> ConstraintTree:
-    """Full pipeline: taint, sinks, region walk, lift."""
-    taint = propagate_taint(kernel)
-    sinks = find_sinks(kernel, taint)
-    raw = extract_raw(kernel, sinks)
-    return lift_constraints(raw, kernel)

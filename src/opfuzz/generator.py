@@ -150,22 +150,10 @@ def _choice_vectors(n_guards: int, cap: int = 16) -> tuple:
     return tuple(itertools.islice(itertools.product((True, False), repeat=n_guards), cap))
 
 
-def _guards_dfs(tree: ConstraintTree) -> list:
-    out = []
-
-    def walk(branches):
-        for br in branches:
-            out.append(br)
-            walk(br.branches)
-
-    walk(tree.branches)
-    return out
-
-
 def build_data_template(corpus, op: str) -> DataTemplate:
     spec = corpus.spec_for(op)
     tree = corpus.tree_for(op)
-    branches = _guards_dfs(tree)
+    branches = list(tree.branch_nodes())
     return DataTemplate(
         op=op,
         order=tuple(toposort_params(tree, spec)),

@@ -148,7 +148,8 @@ def _bin_op(op: str, a, b):
         if op == "%":
             if b == 0.0:
                 raise _CrashSignal("FPE")
-            return math.fmod(a, b)
+            # C's fmod: NaN for an infinite dividend, where math.fmod raises
+            return math.nan if math.isinf(a) else math.fmod(a, b)
     raise EngineError(f"bad bin operands: {op} {type(a).__name__} {type(b).__name__}")
 
 

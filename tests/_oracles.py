@@ -7,8 +7,10 @@ paths, exhaustive small-domain enumeration for generation soundness,
 the stdlib `random` calls the random baseline's direct bit draws replace,
 a plain instruction-by-instruction interpreter for the compiled VM,
 the per-node-type constraint walkers and arithmetic that the expression
-core replaced, and the hand-written lexers the regex scanner replaced. Oracles share only parsed inputs, constants and value types
-with the code under test, never logic, except where a section says so.
+core replaced, the hand-written lexers the regex scanner replaced, and the
+two-pass extractor the one region walk replaced. Oracles share only parsed
+inputs, constants and value types with the code under test, never logic,
+except where a section says so.
 """
 
 from __future__ import annotations
@@ -16,25 +18,33 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import dataclass, field
 
 from opfuzz.constraints import (
+    NEGATE_CMP,
     Arith,
     AttrRef,
     Cmp,
+    Constraint,
     ConstraintError,
+    ConstraintTree,
     Dim,
     Forall,
     Lit,
+    LogicalNode,
     Ndim,
     Size,
+    Unliftable,
     Val,
     Var,
     _eval_value,
     _ExprParser,
     _fold,
+    normal_form,
     render,
 )
 from opfuzz.corpus import CorpusError
+from opfuzz.extractor import ExtractionError, _finalize, _Lifter, _Unliftable, find_sinks, propagate_taint
 from opfuzz.generator import RANDOM_STRING_CHARS
 from opfuzz.kernel.ir import (
     ATTR_PYTYPES,
@@ -44,7 +54,10 @@ from opfuzz.kernel.ir import (
     DType,
     EngineError,
     ExecOutcome,
+    IfRegion,
     KernelIR,
+    LoopRegion,
+    RequireRegion,
     ResourceRef,
     Success,
     TensorVal,
@@ -370,6 +383,14 @@ def _ref_int(value: int) -> int:
     return value
 
 
+def _ref_fmod(a, b) -> float:
+    """C11 F.10.7.1: fmod(+-inf, y) is NaN for any y; otherwise Python's
+    fmod is C's (the divisor has been checked nonzero)."""
+    if a in (float("inf"), float("-inf")):
+        return float("nan")
+    return math.fmod(a, b)
+
+
 def _ref_bin(op: str, a, b):
     if isinstance(a, bool) or isinstance(b, bool):
         raise EngineError("arithmetic on booleans")
@@ -398,7 +419,7 @@ def _ref_bin(op: str, a, b):
         if op == "/":
             return a / b
         if op == "%":
-            return math.fmod(a, b)
+            return _ref_fmod(a, b)
     raise EngineError(f"bad bin operands: {op} {type(a).__name__} {type(b).__name__}")
 
 
@@ -715,7 +736,8 @@ class ArithFail(Exception):
 def reference_arith(op: str, a, b):
     """The constraint evaluator's own int/float arithmetic before it used
     the VM's: bools and non-numbers fail, ints stay in signed 64-bit, `/`
-    and `%` truncate toward zero, and an int mixes freely with a float."""
+    and `%` truncate toward zero, and an int mixes freely with a float.
+    Float `%` follows C's fmod, NaN for an infinite dividend."""
 
     def check64(v):
         if v < INT64_MIN or v > INT64_MAX:
@@ -747,7 +769,7 @@ def reference_arith(op: str, a, b):
             raise ArithFail()
         if op == "/":
             return a / b
-        return math.fmod(a, b)
+        return _ref_fmod(a, b)
     raise ArithFail()
 
 
@@ -1223,3 +1245,195 @@ class RefExprParser(_ExprParser):
 def ref_parse_constraint(text: str):
     p = RefExprParser(text)
     return p.finish(p.parse_constraint())
+
+
+# -- the two-pass extractor ----------------------------------------------------
+
+# The extractor before it lifted in one region walk: `extract_raw` copied the
+# region skeleton into a tree of raw IR predicates (keeping the requires that
+# hold a sink), and `lift_constraints` walked that copy to build the
+# `ConstraintTree`. Copied unchanged apart from their names, with the old
+# `predicate` (its own negation step) in `_RefLifter`. This section shares
+# taint, `find_sinks`, `_Lifter.value`, `_finalize` and `normal_form` with
+# the package: what it pins is the walk, the negation steps and the notes.
+
+
+@dataclass
+class RawConstraint:
+    cond_id: int
+    pass_on_true: bool
+    block: int
+    message: str
+    quant: tuple | None = None  # (var_id, lo_id, hi_id)
+
+
+@dataclass
+class RawBranch:
+    guard_id: int
+    negate: bool
+    block: int
+    node: "RawNode"
+
+
+@dataclass
+class RawNode:
+    constraints: list = field(default_factory=list)
+    branches: list = field(default_factory=list)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.constraints and not self.branches
+
+
+@dataclass
+class RawTree:
+    kernel_id: str
+    root: RawNode
+    mixed_loops: int = 0
+    untainted_requires: int = 0
+
+
+def ref_extract_raw(kernel: KernelIR, sinks: list | None = None) -> RawTree:
+    """Region walk: requires become constraints, sink-bearing ifs become
+    branches, all-require loop bodies become quantified constraints, and
+    loops mixing requires with nested control flow are skipped whole."""
+    if sinks is None:
+        sinks = find_sinks(kernel)
+    by_block = {s.block: s for s in sinks}
+    tree = RawTree(kernel.kernel_id, RawNode())
+
+    def require_constraint(region: RequireRegion, quant=None) -> RawConstraint | None:
+        site = by_block.get(region.block)
+        if site is None:
+            tree.untainted_requires += 1
+            return None
+        return RawConstraint(region.cond_id, site.pass_on_true, region.block, region.message, quant)
+
+    def walk(regions) -> RawNode:
+        node = RawNode()
+        for region in regions:
+            if isinstance(region, RequireRegion):
+                c = require_constraint(region)
+                if c is not None:
+                    node.constraints.append(c)
+            elif isinstance(region, IfRegion):
+                then_node = walk(region.then_regions)
+                else_node = walk(region.else_regions)
+                if not then_node.is_empty:
+                    node.branches.append(RawBranch(region.guard_id, False, region.block, then_node))
+                if not else_node.is_empty:
+                    node.branches.append(RawBranch(region.guard_id, True, region.block, else_node))
+            elif isinstance(region, LoopRegion):
+                if all(isinstance(r, RequireRegion) for r in region.body_regions):
+                    quant = (region.var_id, region.lo_id, region.hi_id)
+                    for r in region.body_regions:
+                        c = require_constraint(r, quant)
+                        if c is not None:
+                            node.constraints.append(c)
+                else:
+                    tree.mixed_loops += 1
+            else:
+                raise ExtractionError(f"unknown region type {type(region).__name__}")
+        return node
+
+    tree.root = walk(kernel.regions)
+    return tree
+
+
+class _RefLifter(_Lifter):
+    def predicate(self, vid: int, qvars: dict) -> list:
+        """Boolean value id -> conjunction of comparison expressions."""
+        inst = self.defs.get(vid)
+        if inst is None:
+            raise _Unliftable(f"predicate {vid} has no definition")
+        if inst.opcode == "cmp":
+            cop, a, b = inst.args
+            return [Cmp(cop, self.value(a, qvars), self.value(b, qvars))]
+        if inst.opcode == "logic":
+            lop, a, b = inst.args
+            if lop == "and":
+                return self.predicate(a, qvars) + self.predicate(b, qvars)
+            if lop == "not":
+                inner = self.predicate(a, qvars)
+                if len(inner) == 1 and isinstance(inner[0], Cmp):
+                    c = inner[0]
+                    return [Cmp(NEGATE_CMP[c.op], c.left, c.right)]
+                raise _Unliftable("negation of a non-comparison")
+            raise _Unliftable("disjunction in a predicate")
+        if inst.opcode == "const" and isinstance(inst.args[0], bool):
+            return [Cmp("==", Lit(1), Lit(1 if inst.args[0] else 0))]
+        raise _Unliftable(f"opcode {inst.opcode} is not a predicate")
+
+
+def ref_lift_constraints(raw: RawTree, kernel: KernelIR) -> ConstraintTree:
+    lifter = _RefLifter(kernel)
+    tree = ConstraintTree(
+        raw.kernel_id,
+        skipped_mixed_loops=raw.mixed_loops,
+        skipped_untainted=raw.untainted_requires,
+    )
+
+    def lift_one(rc: RawConstraint) -> list:
+        try:
+            if rc.quant is None:
+                exprs = lifter.predicate(rc.cond_id, {})
+                if not rc.pass_on_true:
+                    if len(exprs) != 1:
+                        raise _Unliftable("negation of a conjunction")
+                    exprs = [Cmp(NEGATE_CMP[exprs[0].op], exprs[0].left, exprs[0].right)]
+            else:
+                var_id, lo_id, hi_id = rc.quant
+                lo = lifter.value(lo_id, {})
+                hi = lifter.value(hi_id, {})
+                qvars = {var_id: Var("i")}
+                bodies = lifter.predicate(rc.cond_id, qvars)
+                if not rc.pass_on_true:
+                    if len(bodies) != 1:
+                        raise _Unliftable("negation of a conjunction")
+                    bodies = [Cmp(NEGATE_CMP[bodies[0].op], bodies[0].left, bodies[0].right)]
+                exprs = [Forall("i", lo, hi, b) for b in bodies]
+        except _Unliftable as e:
+            return [Constraint(Unliftable(e.note), rc.block, rc.message)]
+        out = []
+        for e in exprs:
+            final = _finalize(e)
+            if final is not None:
+                out.append(Constraint(final, rc.block, rc.message))
+        return out
+
+    def lift_guard(br: RawBranch) -> Constraint:
+        try:
+            exprs = lifter.predicate(br.guard_id, {})
+            if br.negate:
+                if len(exprs) != 1:
+                    raise _Unliftable("negation of a conjunction")
+                exprs = [Cmp(NEGATE_CMP[exprs[0].op], exprs[0].left, exprs[0].right)]
+            if len(exprs) != 1:
+                raise _Unliftable("conjunction guard")
+            return Constraint(_fold(exprs[0]), br.block, "")
+        except _Unliftable as e:
+            return Constraint(Unliftable(e.note), br.block, "")
+
+    def lift_node(raw_node: RawNode, constraints: list, branches: list):
+        seen = set()
+        for rc in raw_node.constraints:
+            for c in lift_one(rc):
+                key = normal_form(c.expr) if not c.is_unliftable else repr(c.expr)
+                if key in seen:
+                    continue
+                seen.add(key)
+                constraints.append(c)
+        for rb in raw_node.branches:
+            node = LogicalNode(lift_guard(rb))
+            lift_node(rb.node, node.constraints, node.branches)
+            branches.append(node)
+
+    lift_node(raw.root, tree.constraints, tree.branches)
+    return tree
+
+
+def reference_extract(kernel: KernelIR) -> ConstraintTree:
+    """Taint, sinks, the raw region tree, then lifting over it."""
+    taint = propagate_taint(kernel)
+    sinks = find_sinks(kernel, taint)
+    return ref_lift_constraints(ref_extract_raw(kernel, sinks), kernel)

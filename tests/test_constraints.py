@@ -19,6 +19,7 @@ from opfuzz.constraints import (
     Dim,
     Forall,
     Lit,
+    LogicalNode,
     NEGATE_CMP,
     Ndim,
     Size,
@@ -56,6 +57,7 @@ def tens(name):
 # -- evaluation: hand-computed expected values --
 
 VEC = TensorVal(DType.DT_INT64, (3,), data=[5, -2, 7])
+FLOAT_INF = TensorVal(DType.DT_FLOAT, (1,), data=[float("inf")])
 
 
 @pytest.mark.parametrize(
@@ -71,6 +73,8 @@ VEC = TensorVal(DType.DT_INT64, (3,), data=[5, -2, 7])
         (Cmp("==", Arith("/", Lit(-7), Lit(2)), Lit(-3)), {}, True),
         (Cmp("!=", Lit("a"), Lit("b")), {}, True),
         (Cmp(">", Lit(1), Lit(2)), {}, False),
+        (Cmp("==", Arith("%", Val("x", (Lit(0),)), Lit(2.0)), Lit(0.0)), {"x": FLOAT_INF}, False),
+        (Cmp("!=", Arith("%", Lit(float("-inf")), Lit(2.0)), Lit(0.0)), {}, True),
     ],
 )
 def test_evaluate_ground_truth(expr, binding, want):
@@ -147,6 +151,16 @@ def test_guard_gates_branch_children():
     assert evaluate_tree(tree, {"n": 1, "x": scalar}) is False
     # guard false: child does not apply
     assert evaluate_tree(tree, {"n": 0, "x": scalar}) is True
+
+
+def test_branch_nodes_are_listed_pre_order_left_to_right():
+    def node(name, *branches):
+        return LogicalNode(Constraint(AttrRef(name)), [Constraint(Ndim(name))], list(branches))
+
+    tree = ConstraintTree("K", [Constraint(Size("r"))], [node("a", node("b", node("c")), node("d")), node("e")])
+    assert [n.guard.expr.param for n in tree.branch_nodes()] == list("abcde")
+    assert [g.expr.param for g in tree.all_guards()] == list("abcde")
+    assert [c.expr.param for c in tree.all_constraints()] == list("rabcde")
 
 
 # -- normalization --
@@ -387,7 +401,9 @@ def test_normalize_is_idempotent(expr):
     assert normal_form(once) == normal_form(normalize(once))
 
 
-_WIDE_LITERALS = st.integers(-5, 5) | st.sampled_from([-1000, INT64_MIN, -0.0, -2.5, 2.5])
+_WIDE_LITERALS = st.integers(-5, 5) | st.sampled_from(
+    [-1000, INT64_MIN, -0.0, -2.5, 2.5, 1e16, 1e-5, -2.5e-300, 1.5e300]
+)
 
 
 @given(expr=_exprs(_WIDE_LITERALS))

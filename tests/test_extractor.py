@@ -1,19 +1,22 @@
 """Taint propagation, sink discovery, and constraint lifting."""
 
-import pytest
+import functools
 
-from opfuzz.constraints import Cmp, Forall, render, serialize_tree, tree_equal
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opfuzz.constraints import CMP_OPS, Cmp, Forall, render, serialize_tree, tree_equal
 from opfuzz.extractor import (
     ExtractionError,
     extract_constraints,
-    extract_raw,
     find_sinks,
     propagate_taint,
     seed_sources,
 )
 from opfuzz.kernel.parser import parse_kernel
 
-from _oracles import reach_taint
+from _oracles import reach_taint, reference_extract
 
 
 def test_taint_matches_reachability_oracle_on_every_kernel(corpus):
@@ -224,12 +227,9 @@ def test_extraction_matches_every_golden_tree(corpus):
         assert tree_equal(extracted, golden), group.name
 
 
-def test_raw_tree_mirrors_region_structure(corpus):
-    kern = corpus.kernel_for("BTCBFS")
-    raw = extract_raw(kern)
-    assert raw.mixed_loops == 0 and raw.untainted_requires == 0
-    assert len(raw.root.branches) == 2
-    tree = corpus.tree_for("BTCBFS")
+def test_tree_mirrors_region_structure(corpus):
+    tree = extract_constraints(corpus.kernel_for("BTCBFS"))
+    assert tree.skipped_mixed_loops == 0 and tree.skipped_untainted == 0
     assert len(tree.branches) == 2
     assert any(isinstance(c.expr, Forall) for c in tree.constraints)
 
@@ -303,3 +303,83 @@ def test_edge_kernel_trees_are_pinned(case):
     body, text, mixed, untainted = _EDGE_PINS[case]
     tree = extract_constraints(_edge_kernel(body))
     assert (serialize_tree(tree), tree.skipped_mixed_loops, tree.skipped_untainted) == (text, mixed, untainted)
+
+
+# -- the one region walk against the two-pass extractor -----------------------
+
+
+def _tree_rows(tree) -> list:
+    """Every expr, block and message of `tree`, node by node, and its counters."""
+    rows = [(tree.kernel_id, tree.skipped_mixed_loops, tree.skipped_untainted)]
+
+    def walk(node, path):
+        rows.extend((path, repr(c.expr), c.block, c.message) for c in node.constraints)
+        for k, br in enumerate(node.branches):
+            g = br.guard
+            rows.append((path + (k,), "guard", repr(g.expr), g.block, g.message))
+            walk(br, path + (k,))
+
+    walk(tree, ())
+    return rows
+
+
+@functools.cache
+def _int_terms(loop_var):
+    names = ["n", "rank(x)", "size(x)", "dim(x, 0)", "dim(x, n)", "x[0]", "x[n]", "0", "1", "3"]
+    if loop_var:
+        names += [loop_var, f"x[{loop_var}]"]
+    term = st.sampled_from(names)
+    return term | st.builds("{} + {}".format, term, term)
+
+
+@functools.cache
+def _conditions(loop_var=None):
+    ints = _int_terms(loop_var)
+    leaves = st.builds("{} {} {}".format, ints, st.sampled_from(CMP_OPS), ints) | st.sampled_from(["true", "false"])
+    return st.recursive(
+        leaves,
+        lambda c: st.builds("not ({})".format, c)
+        | st.builds("({} and {})".format, c, c)
+        | st.builds("({} or {})".format, c, c),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def _statements(draw, depth=0, loop_var=None):
+    """Kernel statements over `attr n` and `input x`: requires, emits, ifs
+    with and without else, all-require loops and mixed loops."""
+    kinds = ["require", "require", "emit"] + (["if", "if-else", "loop", "mixed-loop"] if depth < 3 else [])
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "require":
+            out.append(f'require {draw(_conditions(loop_var))}, "{draw(st.sampled_from("ab"))}";')
+        elif kind == "emit":
+            out.append("emit y = x;")
+        elif kind.startswith("if"):
+            text = f"if {draw(_conditions(loop_var))} {{ {draw(_statements(depth + 1, loop_var))} }}"
+            if kind == "if-else":
+                text += f" else {{ {draw(_statements(depth + 1, loop_var))} }}"
+            out.append(text)
+        else:
+            var = f"i{depth}"
+            bounds = _int_terms(loop_var)
+            body = [f'require {c}, "l";' for c in draw(st.lists(_conditions(var), max_size=3))]
+            if kind == "mixed-loop":
+                body.append(f"if {draw(_conditions(var))} {{ {draw(_statements(depth + 1, var))} }}")
+            out.append(f"for {var} in {draw(bounds)}..{draw(bounds)} {{ {' '.join(body)} }}")
+    return " ".join(out)
+
+
+@given(body=_statements())
+@settings(max_examples=200, deadline=None)
+def test_region_walk_matches_the_two_pass_extractor(body):
+    kern = _edge_kernel(body)
+    assert _tree_rows(extract_constraints(kern)) == _tree_rows(reference_extract(kern))
+
+
+def test_region_walk_matches_the_two_pass_extractor_on_every_kernel(corpus):
+    kernels = list(corpus.kernels.values()) + [_edge_kernel(pin[0]) for pin in _EDGE_PINS.values()]
+    for kern in kernels:
+        assert _tree_rows(extract_constraints(kern)) == _tree_rows(reference_extract(kern)), kern.kernel_id

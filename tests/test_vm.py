@@ -88,6 +88,20 @@ kernel K {
     assert isinstance(out.verdict, Crash) and out.verdict.kind == "IOF"
 
 
+
+@pytest.mark.parametrize("mode", ["eager", "graph"])
+def test_float_remainder_of_inf_rejects(mode):
+    src = """
+kernel K {
+  input x : tensor<f32>;
+  output y : tensor<f32>;
+  require x[0] % 2.0 == 0.0, "even";
+  emit y = x;
+}
+"""
+    out = run(src, {"x": tensor([float("inf")], DType.DT_FLOAT)}, mode)
+    assert isinstance(out.verdict, ValidationReject) and out.verdict.message == "even"
+
 def test_closed_handle_use_is_uaf():
     src = """
 kernel K {
