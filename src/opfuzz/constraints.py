@@ -28,6 +28,7 @@ divisor, a crash in the VM, makes the constraint false.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .kernel.ir import TensorVal
 from .kernel.parser import scan, token_pattern
@@ -383,8 +384,6 @@ def render(expr) -> str:
             return "true" if expr.value else "false"
         text = repr(expr.value)
         if "e" in text:  # the grammar reads no exponent: write the float positionally
-            from decimal import Decimal  # imported here: loading it costs every run 0.3 MB
-
             text = format(Decimal(text), "f")
             text += "" if "." in text else ".0"
         return text

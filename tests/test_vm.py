@@ -88,7 +88,6 @@ kernel K {
     assert isinstance(out.verdict, Crash) and out.verdict.kind == "IOF"
 
 
-
 @pytest.mark.parametrize("mode", ["eager", "graph"])
 def test_float_remainder_of_inf_rejects(mode):
     src = """
@@ -101,6 +100,7 @@ kernel K {
 """
     out = run(src, {"x": tensor([float("inf")], DType.DT_FLOAT)}, mode)
     assert isinstance(out.verdict, ValidationReject) and out.verdict.message == "even"
+
 
 def test_closed_handle_use_is_uaf():
     src = """
