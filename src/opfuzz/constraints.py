@@ -18,19 +18,36 @@ never meets a quantifier nested inside another expression.
 
 Arithmetic is the kernel VM's (`vm._bin_op`: checked signed 64-bit ints,
 C-style `/` and `%`, IEEE floats) and comparison is the VM's `_CMP` table.
-The evaluator keeps its own operand rule in front of them: a bool or a
-non-number operand makes the constraint false, where the VM raises
-`EngineError`; an int mixed with a float is promoted to floats, as Python's
-mixed arithmetic does, where the VM raises too; and an overflow or a zero
-divisor, a crash in the VM, makes the constraint false.
+The evaluator keeps its own operand rule in front of them, in `_arith`: a
+bool or a non-number operand makes the constraint false, where the VM
+raises `EngineError`; an int mixed with a float is promoted to floats, as
+Python's mixed arithmetic does, where the VM raises too; and an overflow or
+a zero divisor, a crash in the VM, makes the constraint false.
+
+`evaluate` runs compiled predicates.  On its first evaluation an expression
+is lowered into the source of one flat function `pred(b)` over the binding
+`b`, compiled, and cached on the expression node, so it lives as long as
+the expression.  Each atom becomes a local and each way to fail an early
+`return False`; `+ - *` on two operands that are always exact ints is
+checked inline against the int64 range, and every other operation goes
+through `_arith`.  A `Forall` becomes a `for` loop; where its variable only
+ever is a whole val() index, a range over 10,000 loops over the indices
+`_probes` picks instead, one per distinct element.  No corpus text reaches
+the generated source: param names, str and float literals, messages and
+the quantifier's tensors are names in the function's globals, and the
+source holds only names the compiler makes up, the grammar's operators and
+ints.  `evaluate_tree` calls `evaluate` once per constraint and guard it
+visits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import lru_cache
 
-from .kernel.ir import TensorVal
+from .kernel.ir import INT64_MAX, INT64_MIN, TensorVal
 from .kernel.parser import scan, token_pattern
 from .kernel.vm import _CMP, _CrashSignal, _bin_op
 
@@ -247,19 +264,10 @@ def _eval_value(expr, binding: dict, env: dict):
     if isinstance(expr, Arith):
         a = _eval_value(expr.left, binding, env)
         b = _eval_value(expr.right, binding, env)
-        if (
-            isinstance(a, bool)
-            or isinstance(b, bool)
-            or not isinstance(a, (int, float))
-            or not isinstance(b, (int, float))
-        ):
+        r = _arith(expr.op, a, b)
+        if r is _FAIL:
             raise _EvalFail()
-        if isinstance(a, float) is not isinstance(b, float):
-            a, b = float(a), float(b)
-        try:
-            return _bin_op(expr.op, a, b)
-        except _CrashSignal:  # IOF or FPE
-            raise _EvalFail()
+        return r
     raise ConstraintError(f"cannot evaluate {type(expr).__name__} as a value")
 
 
@@ -284,93 +292,225 @@ def _var_only_in_val_indices(expr, var: str) -> bool:
     return uses == sum(e.idxs.count(v) for e in nodes(expr) if type(e) is Val)
 
 
-def _eval_bool(expr, binding: dict, env: dict) -> bool:
-    if isinstance(expr, Unliftable):
-        return True  # opaque checks cannot guide anything; assume satisfiable
-    if isinstance(expr, Lit) and isinstance(expr.value, bool):
-        return expr.value
-    if isinstance(expr, Cmp):
-        a = _eval_value(expr.left, binding, env)
-        b = _eval_value(expr.right, binding, env)
-        if isinstance(a, str) != isinstance(b, str):
-            raise _EvalFail()
-        if isinstance(a, str) and expr.op not in ("==", "!="):
-            raise _EvalFail()
-        return _CMP[expr.op](a, b)
-    if isinstance(expr, Forall):
-        lo = _eval_value(expr.lo, binding, env)
-        hi = _eval_value(expr.hi, binding, env)
-        if not isinstance(lo, int) or not isinstance(hi, int):
-            raise _EvalFail()
-        if hi - lo > 10_000 and _var_only_in_val_indices(expr.body, expr.var):
-            return _forall_uniform(expr, lo, hi, binding, env)
-        for v in range(lo, hi):
-            env2 = dict(env)
-            env2[expr.var] = v
-            if not _eval_bool(expr.body, binding, env2):
-                return False
-        return True
-    raise ConstraintError(f"cannot evaluate {type(expr).__name__} as a predicate")
+# -- compiled predicates --
+
+_FAIL = object()  # `_arith`'s result where the constraint is false
 
 
-def _forall_uniform(expr: Forall, lo: int, hi: int, binding: dict, env: dict) -> bool:
-    """Large-range forall where the index only feeds val() atoms directly.
+def _arith(op: str, a, b):
+    """The evaluator's operand rule in front of the VM's arithmetic."""
+    if isinstance(a, bool) or isinstance(b, bool) or not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
+        return _FAIL
+    if isinstance(a, float) is not isinstance(b, float):
+        a, b = float(a), float(b)
+    try:
+        return _bin_op(op, a, b)
+    except _CrashSignal:  # IOF or FPE
+        return _FAIL
 
-    The body's truth at index v depends only on the loaded element values, so
-    it suffices to check one representative index per distinct element, which
-    for fill-backed tensors is the fill value plus any point overrides.
+
+def _probes(b: dict, lo: int, hi: int, params: tuple):
+    """The indices a forall over more than 10,000 of them must check when
+    its variable only ever is a whole val() index into the tensors `params`;
+    None when one of them cannot be indexed so.
+
+    The body's truth at an index depends only on the elements loaded there,
+    so one index per distinct element suffices: for fill-backed tensors the
+    first index plus each point override.
     """
-    whole = (Var(expr.var),)
     tensors = []
-    for a in [e for e in nodes(expr.body) if type(e) is Val and e.idxs == whole]:
-        t = _tensor(binding, a.param)
+    for p in params:
+        try:
+            t = _tensor(b, p)
+        except _EvalFail:
+            return None
         if t.rank != 1 or lo < 0 or hi > t.shape[0]:
-            raise _EvalFail()
+            return None
         tensors.append(t)
-    probe = {lo} if lo < hi else set()
-    for t in tensors:
-        if t.data is not None:
-            # dense data within a huge range cannot happen (size caps), but
-            # stay honest and fall back to full iteration
-            for v in range(lo, hi):
-                env2 = dict(env)
-                env2[expr.var] = v
-                if not _eval_bool(expr.body, binding, env2):
-                    return False
-            return True
-        for flat in t.overrides:
-            if lo <= flat < hi:
-                probe.add(flat)
-    for v in sorted(probe):
-        env2 = dict(env)
-        env2[expr.var] = v
-        if not _eval_bool(expr.body, binding, env2):
-            return False
-    return True
+    if any(t.data is not None for t in tensors):
+        return range(lo, hi)  # campaigns draw no dense data this large, but walk it all if it comes
+    return sorted({lo, *(flat for t in tensors for flat in t.overrides if lo <= flat < hi)})
+
+
+def _int_typed(e) -> bool:
+    """Whether the value of `e`, where it has one, is always an exact int."""
+    t = type(e)
+    if t is Lit:
+        return type(e.value) is int
+    if t is Arith:
+        return e.op in _PREC and _int_typed(e.left) and _int_typed(e.right)
+    return t is Var or t is Ndim or t is Size or t is Dim
+
+
+def _str_test(e, code: str) -> str:
+    """Source for whether the value `code` of `e` is a str."""
+    if type(e) is Lit:
+        return str(isinstance(e.value, str))
+    return "False" if type(e) is Arith or _int_typed(e) else f"isinstance({code}, str)"
+
+
+class _Lowering:
+    """The body of one `pred(b)`: each atom a local, each failure an early
+    `return False`, and every value from the corpus a name in `ns`."""
+
+    def __init__(self):
+        self.ns = {"_T": TensorVal, "_CE": ConstraintError, "_arith": _arith, "_FAIL": _FAIL, "_CMP": _CMP, "_probes": _probes}
+        self.lines = []
+        self.pad = "    "
+        self.n = 0
+
+    def emit(self, line: str):
+        self.lines.append(self.pad + line)
+
+    def fail_if(self, cond: str):
+        self.emit(f"if {cond}: return False")
+
+    def name(self) -> str:
+        self.n += 1
+        return f"v{self.n}"
+
+    def local(self, code: str) -> str:
+        v = self.name()
+        self.emit(f"{v} = {code}")
+        return v
+
+    def const(self, value) -> str:
+        if type(value) is int:
+            return repr(value)
+        k = f"k{len(self.ns)}"
+        self.ns[k] = value
+        return k
+
+    def raise_(self, message: str) -> str:
+        self.emit(f"raise _CE({self.const(message)})")
+        return "None"
+
+    def param(self, p: str, scope: dict) -> str:
+        if ("param", p) not in scope:
+            v = scope["param", p] = self.name()
+            self.emit(f"try: {v} = b[{self.const(p)}]")
+            self.emit(f"except KeyError: raise _CE({self.const(f'binding missing param {p!r}')})")
+        return scope["param", p]
+
+    def tensor(self, p: str, scope: dict) -> str:
+        v = self.param(p, scope)
+        if ("tensor", p) not in scope:
+            scope["tensor", p] = v
+            self.fail_if(f"not isinstance({v}, _T)")
+        return v
+
+    def value(self, e, scope: dict) -> str:
+        t = type(e)
+        if t is Lit:
+            return self.const(e.value)
+        if t is Var:
+            return scope.get(("var", e.name)) or self.raise_(f"unbound quantifier variable {e.name!r}")
+        if t is AttrRef:
+            return self.param(e.param, scope)
+        if t is Ndim or t is Size or t is Dim or t is Val:
+            x = self.tensor(e.param, scope)
+            if t is Ndim:
+                return self.local(f"len({x}.shape)")
+            if t is Size:
+                return self.local(f"{x}.size")
+            if t is Dim:
+                ax = self.const(e.axis)
+                self.fail_if(f"{ax} < 0 or {ax} >= len({x}.shape)")
+                return self.local(f"{x}.shape[{ax}]")
+            idxs = [self.value(i, scope) for i in e.idxs]
+            self.fail_if(f"len({x}.shape) != {len(idxs)}")
+            flat = "0"  # an index in range on every axis leaves no extent below 1
+            for k, (i, ix) in enumerate(zip(e.idxs, idxs)):
+                if not _int_typed(i):
+                    self.fail_if(f"not isinstance({ix}, int)")
+                self.fail_if(f"{ix} < 0 or {ix} >= {x}.shape[{k}]")
+                flat = ix if k == 0 else self.local(f"{flat} * {x}.shape[{k}] + {ix}")
+            return self.local(f"{x}.flat_get({flat})")
+        if t is Arith:
+            a, c = self.value(e.left, scope), self.value(e.right, scope)
+            if e.op in ("+", "-", "*") and _int_typed(e.left) and _int_typed(e.right):
+                r = self.local(f"{a} {e.op} {c}")
+                self.fail_if(f"{r} < {INT64_MIN} or {r} > {INT64_MAX}")
+            else:
+                r = self.local(f"_arith({self.const(e.op)}, {a}, {c})")
+                self.fail_if(f"{r} is _FAIL")
+            return r
+        return self.raise_(f"cannot evaluate {t.__name__} as a value")
+
+    def pred(self, e, scope: dict):
+        """Lines that return False where `e` fails and fall through where it holds."""
+        t = type(e)
+        if t is Cmp:
+            a, c = self.value(e.left, scope), self.value(e.right, scope)
+            sa, sc = _str_test(e.left, a), _str_test(e.right, c)
+            if sa != sc:  # a str compares only with a str, and only for (in)equality
+                self.fail_if(f"{sa} != {sc}")
+            if e.op not in ("==", "!=") and sa != "False":
+                self.fail_if(sa)
+            self.fail_if(f"not {a} {e.op} {c}" if e.op in CMP_OPS else f"not _CMP[{self.const(e.op)}]({a}, {c})")
+        elif t is Forall:
+            lo, hi = self.value(e.lo, scope), self.value(e.hi, scope)
+            for bound, code in ((e.lo, lo), (e.hi, hi)):
+                if not _int_typed(bound):
+                    self.fail_if(f"not isinstance({code}, int)")
+            span = f"range({lo}, {hi})"
+            if _var_only_in_val_indices(e.body, e.var):
+                whole = (Var(e.var),)
+                params = self.const(tuple(a.param for a in nodes(e.body) if type(a) is Val and a.idxs == whole))
+                span = self.local(f"{span} if {hi} - {lo} <= 10000 else _probes(b, {lo}, {hi}, {params})")
+                self.fail_if(f"{span} is None")
+            v = self.name()
+            self.emit(f"for {v} in {span}:")
+            self.pad += "    "
+            self.pred(e.body, {**scope, ("var", e.var): v})
+            self.pad = self.pad[:-4]
+        elif t is Unliftable or (t is Lit and isinstance(e.value, bool)):
+            # an opaque check cannot guide anything: assume it satisfiable
+            self.emit("return False" if t is Lit and not e.value else "pass")
+        else:
+            self.raise_(f"cannot evaluate {t.__name__} as a predicate")
+
+
+@lru_cache(maxsize=512)
+def _code(source: str):
+    return compile(source, "<constraint>", "exec")
+
+
+def _compile(expr):
+    """`expr`'s predicate, cached on the node on first use."""
+    low = _Lowering()
+    low.pred(expr, {})
+    ns = low.ns
+    exec(_code("def pred(b):\n" + "\n".join(low.lines) + "\n    return True\n"), ns)
+    try:
+        object.__setattr__(expr, "_pred", ns["pred"])
+    except AttributeError:
+        pass  # not a node: its predicate only raises
+    return ns["pred"]
 
 
 def evaluate(expr, binding: dict) -> bool:
     """Truth of one constraint expression under a concrete binding."""
     try:
-        return _eval_bool(expr, binding, {})
-    except _EvalFail:
-        return False
+        pred = expr._pred
+    except AttributeError:
+        pred = _compile(expr)
+    return pred(binding)
 
 
 def evaluate_tree(tree: ConstraintTree, binding: dict) -> bool:
     """Whole-tree truth: root conjunction, branch children gated by guards."""
+    return _node_holds(tree.constraints, tree.branches, binding)
 
-    def node_ok(constraints, branches) -> bool:
-        for c in constraints:
-            if not evaluate(c.expr, binding):
-                return False
-        for br in branches:
-            if evaluate(br.guard.expr, binding):
-                if not node_ok(br.constraints, br.branches):
-                    return False
-        return True
 
-    return node_ok(tree.constraints, tree.branches)
+def _node_holds(constraints, branches, binding: dict) -> bool:
+    for c in constraints:
+        if not evaluate(c.expr, binding):
+            return False
+    for br in branches:
+        if evaluate(br.guard.expr, binding) and not _node_holds(br.constraints, br.branches, binding):
+            return False
+    return True
 
 
 # -- rendering and normalization --
@@ -382,6 +522,8 @@ def render(expr) -> str:
             return '"' + expr.value + '"'
         if isinstance(expr.value, bool):
             return "true" if expr.value else "false"
+        if isinstance(expr.value, float) and not math.isfinite(expr.value):
+            raise ConstraintError(f"cannot render the non-finite float {expr.value!r}")
         text = repr(expr.value)
         if "e" in text:  # the grammar reads no exponent: write the float positionally
             text = format(Decimal(text), "f")
@@ -437,9 +579,11 @@ def _fold(expr):
     expr = rebuild(expr, [_fold(k) for k in kids])
     if type(expr) is Arith and type(expr.left) is Lit and type(expr.right) is Lit:
         try:
-            return Lit(_eval_value(expr, {}, {}))
+            value = _eval_value(expr, {}, {})
         except _EvalFail:
-            pass
+            return expr
+        if not isinstance(value, float) or math.isfinite(value):  # the grammar writes no inf or nan
+            return Lit(value)
     return expr
 
 

@@ -17,7 +17,9 @@ to the hints read from the residuals, whose candidate pools are cached in
 turn.  A draw then only evaluates atoms, consumes the rng and tests
 candidates, in the same order as without plans, so reports do not change.
 Repair's first pass skips the constraints a param's solve already saw
-hold.
+hold.  Each pick from a pool, and each resource state, is drawn with
+`_below(getrandbits, n)`, which gives `randrange(n)`'s value for the same
+rng consumption, without its per-call checks.
 
 The random baseline draws straight from the rng's `getrandbits` and
 `random`, one list comprehension per tensor dtype, without the stdlib's
@@ -452,7 +454,7 @@ def _int_candidates(rng_range: _Range, specials) -> list:
 
 
 def _draw(rng, pool):
-    return pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+    return pool[_below(rng.getrandbits, len(pool))] if len(pool) > 1 else pool[0]
 
 
 @_cached_pool
@@ -673,10 +675,10 @@ class GuidedGenerator:
         if wired:
             # live-heavy mix keeps sequences mostly coherent while still
             # probing every broken-handle state
-            roll = rng.randrange(9)
-            state = "live" if roll < 5 else ("null", "fresh", "filled", "closed")[roll - 5]
+            roll = _below(rng.getrandbits, 9)
+            state = "live" if roll < 5 else _RESOURCE_STATES[roll - 5]
         else:
-            state = ("null", "fresh", "filled", "closed")[rng.randrange(4)]
+            state = _RESOURCE_STATES[_below(rng.getrandbits, 4)]
         return ResourceRef(p.entity, state)
 
     def _draw_tensor(self, rng, p, hints: _TensorHints, ndim_referenced: bool):

@@ -7,7 +7,8 @@ paths, exhaustive small-domain enumeration for generation soundness,
 the stdlib `random` calls the random baseline's direct bit draws replace,
 a plain instruction-by-instruction interpreter for the compiled VM,
 the per-node-type constraint walkers and arithmetic that the expression
-core replaced, the hand-written lexers the regex scanner replaced, and the
+core replaced, the AST interpreter the compiled constraint predicates
+replaced, the hand-written lexers the regex scanner replaced, and the
 two-pass extractor the one region walk replaced. Oracles share only parsed
 inputs, constants and value types with the code under test, never logic,
 except where a section says so.
@@ -38,8 +39,11 @@ from opfuzz.constraints import (
     Val,
     Var,
     _eval_value,
+    _EvalFail,
     _ExprParser,
+    _tensor,
     _fold,
+    nodes,
     normal_form,
     render,
 )
@@ -726,7 +730,10 @@ def reference_execute(kernel: KernelIR, binding: dict, mode: str, handles) -> Ex
 # node types itself. What they pin is which nodes a walk visits, in what
 # order, and how it rebuilds the tree; they read atom values through the
 # package's `_eval_value` and render through its `render`, and fold
-# arithmetic with `reference_arith` below.
+# arithmetic with `reference_arith` below. `reference_evaluate` is the
+# evaluator `constraints.evaluate` compiles into one generated function per
+# expression; it too reads values through `_eval_value`, the package's
+# `_tensor` and the traversal core's `nodes`.
 
 
 class ArithFail(Exception):
@@ -902,9 +909,11 @@ def ref_fold(expr):
         right = ref_fold(expr.right)
         if isinstance(left, Lit) and isinstance(right, Lit):
             try:
-                return Lit(reference_arith(expr.op, left.value, right.value))
+                value = reference_arith(expr.op, left.value, right.value)
             except ArithFail:
-                pass
+                value = None
+            if isinstance(value, int) or (isinstance(value, float) and math.isfinite(value)):
+                return Lit(value)  # an inf or nan stays unfolded: the grammar cannot write it
         return Arith(expr.op, left, right)
     if isinstance(expr, Cmp):
         return Cmp(expr.op, ref_fold(expr.left), ref_fold(expr.right))
@@ -944,6 +953,68 @@ def ref_var_only_in_val_indices(expr, var: str) -> bool:
     if isinstance(expr, (Arith, Cmp)):
         return ref_var_only_in_val_indices(expr.left, var) and ref_var_only_in_val_indices(expr.right, var)
     return True
+
+
+
+def reference_evaluate(expr, binding: dict) -> bool:
+    """The AST interpreter `evaluate` compiles away: each node evaluated
+    where it stands, its operands read through the package's `_eval_value`,
+    a quantifier walked with a fresh env per index."""
+    try:
+        return _ref_eval_bool(expr, binding, {})
+    except _EvalFail:
+        return False
+
+
+def _ref_eval_bool(expr, binding: dict, env: dict) -> bool:
+    if isinstance(expr, Unliftable):
+        return True
+    if isinstance(expr, Lit) and isinstance(expr.value, bool):
+        return expr.value
+    if isinstance(expr, Cmp):
+        a = _eval_value(expr.left, binding, env)
+        b = _eval_value(expr.right, binding, env)
+        if isinstance(a, str) != isinstance(b, str):
+            raise _EvalFail()
+        if isinstance(a, str) and expr.op not in ("==", "!="):
+            raise _EvalFail()
+        return _REF_CMP[expr.op](a, b)
+    if isinstance(expr, Forall):
+        lo = _eval_value(expr.lo, binding, env)
+        hi = _eval_value(expr.hi, binding, env)
+        if not isinstance(lo, int) or not isinstance(hi, int):
+            raise _EvalFail()
+        indices = range(lo, hi)
+        if hi - lo > 10_000 and ref_var_only_in_val_indices(expr.body, expr.var):
+            indices = _ref_uniform_indices(expr, lo, hi, binding)
+        return all(_ref_eval_bool(expr.body, binding, {**env, expr.var: v}) for v in indices)
+    raise ConstraintError(f"cannot evaluate {type(expr).__name__} as a predicate")
+
+
+_REF_CMP = {
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+}
+
+
+def _ref_uniform_indices(expr, lo: int, hi: int, binding: dict):
+    """The indices a large forall whose variable is only a whole val() index
+    needs: the first plus each override of a fill-backed tensor, or all of
+    them where a tensor is dense."""
+    whole = (Var(expr.var),)
+    tensors = []
+    for a in [e for e in nodes(expr.body) if type(e) is Val and e.idxs == whole]:
+        t = _tensor(binding, a.param)
+        if t.rank != 1 or lo < 0 or hi > t.shape[0]:
+            raise _EvalFail()
+        tensors.append(t)
+    if any(t.data is not None for t in tensors):
+        return range(lo, hi)
+    return sorted({lo} | {flat for t in tensors for flat in t.overrides if lo <= flat < hi}) if lo < hi else []
 
 
 def ref_substitute_bound(expr, bound: dict, keep: str):

@@ -112,6 +112,20 @@ def test_templates_unknown_op(capsys):
     assert "unknown operator" in err
 
 
+def test_listed_names_feed_back_to_templates_and_extract(capsys):
+    _, out, _ = run_cli(capsys, "list-ops")
+    rows = [line.split() for line in out.splitlines() if "[testable]" in line]
+    assert len(rows) == 22
+    for row in rows:
+        dotted, bare = row[0], row[0].rpartition(".")[2]
+        code, by_dotted, err = run_cli(capsys, "templates", dotted)
+        assert (code, err) == (0, ""), dotted
+        assert by_dotted == run_cli(capsys, "templates", bare)[1], dotted
+        assert json.loads(by_dotted)["control"]["op"] == bare
+    # every member a group lists names it too
+    assert run_cli(capsys, "extract", "compat.v1.Reshape") == run_cli(capsys, "extract", "Reshape")
+
+
 # -------------------------------------------------------------------- fuzz
 
 

@@ -2,11 +2,14 @@
 
 import dataclasses
 import logging
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import reference_evaluate
+from opfuzz import constraints
 from opfuzz.constraints import (
     CMP_OPS,
     FLIP_CMP,
@@ -23,8 +26,10 @@ from opfuzz.constraints import (
     NEGATE_CMP,
     Ndim,
     Size,
+    Unliftable,
     Val,
     Var,
+    _Lowering,
     classify_constraints,
     evaluate,
     evaluate_tree,
@@ -38,7 +43,8 @@ from opfuzz.constraints import (
     toposort_params,
     tree_equal,
 )
-from opfuzz.kernel.ir import INT64_MIN, DType, ParamDecl, TensorVal
+from opfuzz.kernel.ir import INT64_MAX, INT64_MIN, DType, ParamDecl, ResourceRef, TensorVal
+from test_expr_core import _EXPRS, _cmp, _values
 
 
 class FakeSpec:
@@ -413,3 +419,141 @@ def test_render_round_trips(expr):
     again = parse_constraint(text)
     assert again == expr
     assert render(again) == text
+
+
+# -- compiled predicates against the AST interpreter --
+
+_INF = float("inf")
+_SCALAR_POOL = [0, 1, -1, 2, True, False, 2.5, 0.0, -0.0, _INF, -_INF, float("nan"), INT64_MIN, INT64_MAX, "", "a"]
+_SCALAR_POOL += [ResourceRef("Stack", "live"), None]  # atoms that are neither numbers nor tensors
+
+
+def _dense(dtype, shape, data):
+    return TensorVal(dtype, shape, data=data)
+
+
+def _lazy(shape, fill, overrides=()):
+    t = TensorVal(DType.DT_INT64, shape, fill=fill)
+    for flat, v in overrides:
+        t.flat_set(flat, v)
+    return t
+
+
+_TENSOR_POOL = [
+    _dense(DType.DT_INT64, (), [2]),
+    _dense(DType.DT_INT64, (2,), [0, 1]),
+    _dense(DType.DT_INT64, (3,), [INT64_MIN, -1, INT64_MAX]),
+    _dense(DType.DT_INT64, (0,), []),
+    _dense(DType.DT_INT64, (1, 2), [1, 0]),
+    _dense(DType.DT_FLOAT, (4,), [-0.0, _INF, float("nan"), 1.5]),
+    _dense(DType.DT_STRING, (2,), ["a", ""]),
+    _dense(DType.DT_BOOL, (2,), [True, False]),
+    _lazy((-1,), 1),
+    # fill-backed over a range too large to walk, with overrides in and out of it
+    _lazy((50_000,), 3),
+    _lazy((50_000,), 3, [(0, -4), (49_999, 2.5), (12_345, "a")]),
+    _lazy((20_000,), 0, [(10_001, 1)]),
+    # dense past the shortcut's threshold: the shortcut walks every index
+    _dense(DType.DT_INT64, (10_002,), [1] * 10_001 + [-1]),
+]
+
+# n, m, x and y are the expressions' params; each may be missing
+_MISSING = object()
+_MIXED_BINDINGS = st.fixed_dictionaries(
+    dict.fromkeys("nmxy", st.sampled_from(_SCALAR_POOL + _TENSOR_POOL + [_MISSING] * 3))
+).map(lambda b: {k: v for k, v in b.items() if v is not _MISSING})
+
+
+def _large_foralls(var):
+    lo = st.sampled_from([Lit(0), Lit(1), Lit(True), Lit(-1), AttrRef("n")])
+    hi = st.sampled_from([Size("x"), Dim("y", 0), Lit(20_000), Lit(60_000), AttrRef("m")])
+    element = st.builds(Val, st.sampled_from(["x", "y"]), st.just((Var(var),)))
+    body = st.one_of(_cmp(var), st.builds(Cmp, st.sampled_from(CMP_OPS), element, st.one_of(element, _values(None))))
+    return st.builds(Forall, st.just(var), lo, hi, body)
+
+
+_DIFF_EXPRS = st.one_of(_EXPRS, _large_foralls("i"), _cmp("k"))  # the last has an unbound var
+
+
+def _verdict(fn, expr, binding):
+    try:
+        return "ok", repr(fn(expr, binding))
+    except Exception as exc:
+        return "raise", type(exc).__name__, str(exc)
+
+
+@given(expr=_DIFF_EXPRS, binding=_MIXED_BINDINGS)
+@settings(max_examples=1500, deadline=None)
+def test_compiled_predicates_match_the_ast_interpreter(expr, binding):
+    want = _verdict(reference_evaluate, expr, binding)
+    assert _verdict(evaluate, expr, binding) == want
+    assert _verdict(evaluate, expr, binding) == want  # the cached function too
+
+
+@pytest.mark.parametrize(
+    "expr,binding,want",
+    [
+        (Unliftable("opaque"), {}, ("ok", "True")),
+        (Lit(False), {}, ("ok", "False")),
+        # strs compare only for (in)equality
+        (Cmp("<", Lit("a"), Lit("b")), {}, ("ok", "False")),
+        (Cmp(">", AttrRef("n"), AttrRef("m")), {"n": "b", "m": "a"}, ("ok", "False")),
+        (Cmp("<=", Val("x", (Lit(0),)), AttrRef("n")), {"x": _TENSOR_POOL[6], "n": "b"}, ("ok", "False")),
+        (Cmp("!=", Val("x", (Lit(0),)), AttrRef("n")), {"x": _TENSOR_POOL[6], "n": "b"}, ("ok", "True")),
+        (Lit(3), {}, ("raise", "ConstraintError", "cannot evaluate Lit as a predicate")),
+        (Size("x"), {"x": VEC}, ("raise", "ConstraintError", "cannot evaluate Size as a predicate")),
+        (Cmp("==", Cmp("==", Lit(1), Lit(1)), Lit(1)), {}, ("raise", "ConstraintError", "cannot evaluate Cmp as a value")),
+        # a quantifier nested in a body, over the outer variable
+        (Forall("i", Lit(0), Lit(2), Forall("j", Lit(0), Var("i"), Cmp("<", Var("j"), Lit(1)))), {}, ("ok", "True")),
+        (Forall("i", Lit(0), Lit(3), Forall("j", Lit(0), Var("i"), Cmp("<", Var("j"), Lit(1)))), {}, ("ok", "False")),
+    ],
+)
+def test_compiled_predicates_on_edge_cases(expr, binding, want):
+    assert _verdict(reference_evaluate, expr, binding) == want
+    assert _verdict(evaluate, expr, binding) == want
+
+
+_HOSTILE = [
+    'x"] or __import__("sys").modules.setdefault("opfuzz_injected", 1) or b["',
+    "n')\n    __import__('sys').modules.setdefault('opfuzz_injected', 1)\n#",
+    "#)\\\n__import__",
+]
+
+
+@pytest.mark.parametrize("name", _HOSTILE)
+def test_corpus_text_never_reaches_generated_source(name):
+    tensor = TensorVal(DType.DT_STRING, (2,), data=[name, "b"])
+    exprs = [
+        (Cmp("==", AttrRef(name), Lit(name)), {name: name}, True),
+        (Cmp("!=", AttrRef(name), Lit(name)), {name: name}, False),
+        (Cmp(">", AttrRef(name), Lit(2.5)), {name: 3}, True),
+        (Forall(name, Lit(0), Size(name), Cmp("!=", Val(name, (Var(name),)), Lit(name + "!"))), {name: tensor}, True),
+        (Cmp("==", Val(name, (Lit(0),)), Lit(name)), {name: tensor}, True),
+    ]
+    for expr, binding, want in exprs:
+        assert evaluate(expr, binding) is want
+        low = _Lowering()
+        low.pred(expr, {})
+        assert not any(name in line or "import" in line for line in low.lines)
+    with pytest.raises(ConstraintError, match="binding missing param"):
+        evaluate(Cmp("==", AttrRef(name), Lit(1)), {})
+    assert "opfuzz_injected" not in sys.modules
+
+
+def test_evaluate_tree_looks_up_evaluate_once_per_constraint_and_guard(monkeypatch):
+    seen = []
+    real = constraints.evaluate
+
+    def counting(expr, binding):
+        seen.append(expr)
+        return real(expr, binding)
+
+    monkeypatch.setattr(constraints, "evaluate", counting)
+    pos, neg = Cmp(">", AttrRef("n"), Lit(0)), Cmp("<", AttrRef("n"), Lit(0))
+    root = [Constraint(Cmp("!=", AttrRef("n"), Lit(5)))]
+    taken = LogicalNode(Constraint(pos), [Constraint(Cmp("<", AttrRef("n"), Lit(9)))], [LogicalNode(Constraint(neg))])
+    skipped = LogicalNode(Constraint(neg), [Constraint(Lit(False))])
+    tree = ConstraintTree("K", root, [taken, skipped])
+    assert evaluate_tree(tree, {"n": 1}) is True
+    # the root, the taken guard, its child and nested guard, then the skipped guard
+    assert seen == [root[0].expr, pos, taken.constraints[0].expr, neg, neg]

@@ -1,6 +1,7 @@
 """The expression core: walkers and arithmetic against the code they
 replaced, and the evaluated tree against the kernel it was lifted from."""
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -184,7 +185,8 @@ def test_evaluator_arithmetic_matches_the_reference(op, a, b, c):
         assert _outcome(evaluate, Cmp("==", expr, Lit(c)), {}) == want
         return
     value = reference_arith(op, a, b) if want[0] == "ok" else None
-    assert repr(_fold(expr)) == (repr(Lit(value)) if want[0] == "ok" else repr(expr))
+    folds = want[0] == "ok" and not (isinstance(value, float) and not math.isfinite(value))
+    assert repr(_fold(expr)) == (repr(Lit(value)) if folds else repr(expr))
     for other in (c, value):
         truth = want[0] == "ok" and isinstance(other, str) == isinstance(value, str) and value == other
         assert evaluate(Cmp("==", expr, Lit(other)), {}) is truth

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfuzz.constraints import CMP_OPS, Cmp, Forall, render, serialize_tree, tree_equal
+from opfuzz.constraints import CMP_OPS, Arith, Cmp, ConstraintError, Forall, Lit, Val, parse_tree, render, serialize_tree, tree_equal
 from opfuzz.extractor import (
     ExtractionError,
     extract_constraints,
@@ -120,6 +120,28 @@ kernel K {
     expr = tree.constraints[0].expr
     assert isinstance(expr, Forall)
     assert render(expr) == "forall i in [0, size(x)): val(x, i) >= 0"
+
+
+
+def test_overflowing_float_literals_stay_unfolded_and_round_trip():
+    big = "1" + "0" * 300 + ".0"  # 1e300: the product is inf
+    src = f"""
+kernel K {{
+  input x : tensor<f32>;
+  output y : tensor<f32>;
+  require x[0] < {big} * {big}, "big";
+  emit y = x;
+}}
+"""
+    tree = extract_constraints(parse_kernel(src))
+    assert tree.constraints[0].expr == Cmp("<", Val("x", (Lit(0),)), Arith("*", Lit(1e300), Lit(1e300)))
+    text = serialize_tree(tree)
+    back = parse_tree(text)
+    assert tree_equal(tree, back)
+    assert back.constraints[0].expr == tree.constraints[0].expr
+    for special in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ConstraintError, match="non-finite"):
+            render(Cmp("<", Val("x", (Lit(0),)), Lit(special)))
 
 
 def test_conjunction_splits_into_two_constraints():

@@ -409,6 +409,22 @@ def test_tracers_patch_the_constraint_functions_the_generator_calls():
     assert generator.evaluate is constraints.evaluate
 
 
+def test_the_generator_evaluates_through_its_module_global(corpus, monkeypatch):
+    calls = []
+
+    def counting(expr, binding):
+        calls.append(expr)
+        return constraints.evaluate(expr, binding)
+
+    monkeypatch.setattr(generator, "evaluate", counting)
+    gen = GuidedGenerator(corpus, "Reshape")
+    binding, vec_index = gen.generate(random.Random(3), 1)
+    drawn = len(calls)
+    assert drawn > 0  # solving tests candidates, and repair re-checks
+    assert gen.make_violation(random.Random(3), binding, vec_index, 1) is not None
+    assert len(calls) > drawn
+
+
 # one param of each kind the random baseline draws
 _RANDOM_KINDS = {
     "resource": ParamDecl("r", "input", DType.DT_RESOURCE, "resource", entity="Stack"),
