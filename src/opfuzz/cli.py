@@ -70,13 +70,8 @@ def _cmd_list_ops(corpus) -> int:
     return 0
 
 
-def _group_name(corpus, op: str) -> str:
-    """The group name for `op`, given bare or as a dotted name `list-ops` prints."""
-    return next((g.name for g in corpus.registry.groups if op in g.members), op)
-
-
 def _cmd_extract(corpus, ops, golden_check: bool) -> int:
-    names = [_group_name(corpus, op) for op in ops] or [s.name for s in corpus.registry.testable]
+    names = [corpus.spec_for(op).name for op in ops] or [s.name for s in corpus.registry.testable]
     failures = []
     for op in names:
         tree = corpus.tree_for(op)
@@ -136,7 +131,7 @@ def main(argv=None) -> int:
         if args.command == "extract":
             return _cmd_extract(corpus, args.ops, args.golden_check)
         if args.command == "templates":
-            print(json.dumps(describe_templates(corpus, _group_name(corpus, args.op)), indent=2, sort_keys=True))
+            print(json.dumps(describe_templates(corpus, corpus.spec_for(args.op).name), indent=2, sort_keys=True))
             return 0
     except (CorpusError, CampaignConfigError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -22,13 +22,16 @@ The evaluator keeps its own operand rule in front of them, in `_arith`: a
 bool or a non-number operand makes the constraint false, where the VM
 raises `EngineError`; an int mixed with a float is promoted to floats, as
 Python's mixed arithmetic does, where the VM raises too; and an overflow or
-a zero divisor, a crash in the VM, makes the constraint false.
+a zero divisor, a crash in the VM, makes the constraint false.  A str
+equals only a str, and only numbers (bools among them) are ordered: an
+ordering with any other operand is false.
 
-`evaluate` runs compiled predicates.  On its first evaluation an expression
-is lowered into the source of one flat function `pred(b)` over the binding
-`b`, compiled, and cached on the expression node, so it lives as long as
-the expression.  Each atom becomes a local and each way to fail an early
-`return False`; `+ - *` on two operands that are always exact ints is
+The lowering in `_Lowering` is the package's one semantics of the
+language.  `evaluate` runs compiled predicates.  On its first evaluation an
+expression is lowered into the source of one flat function `pred(b)` over
+the binding `b`, compiled, and cached on the expression node, so it lives
+as long as the expression.  Each atom becomes a local and each way to fail
+an early `return False`; `+ - *` on two operands that are always exact ints is
 checked inline against the int64 range, and every other operation goes
 through `_arith`.  A `Forall` becomes a `for` loop; where its variable only
 ever is a whole val() index, a range over 10,000 loops over the indices
@@ -37,7 +40,10 @@ the generated source: param names, str and float literals, messages and
 the quantifier's tensors are names in the function's globals, and the
 source holds only names the compiler makes up, the grammar's operators and
 ints.  `evaluate_tree` calls `evaluate` once per constraint and guard it
-visits.
+visits.  `value_of` reads a value expression (an atom or arithmetic) the
+same way: lowered in value mode into a function `value(b)`, cached on the
+node beside its predicate, where each way to fail returns `_FAIL`, which
+`value_of` raises as `_EvalFail`.
 """
 
 from __future__ import annotations
@@ -231,46 +237,6 @@ class _EvalFail(Exception):
     """Internal: atom out of range or bad arithmetic; constraint is false."""
 
 
-def _eval_value(expr, binding: dict, env: dict):
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise ConstraintError(f"unbound quantifier variable {expr.name!r}")
-    if isinstance(expr, AttrRef):
-        return _param(binding, expr.param)
-    if isinstance(expr, Ndim):
-        return _tensor(binding, expr.param).rank
-    if isinstance(expr, Size):
-        return _tensor(binding, expr.param).size
-    if isinstance(expr, Dim):
-        t = _tensor(binding, expr.param)
-        if expr.axis < 0 or expr.axis >= t.rank:
-            raise _EvalFail()
-        return t.shape[expr.axis]
-    if isinstance(expr, Val):
-        t = _tensor(binding, expr.param)
-        idxs = [_eval_value(i, binding, env) for i in expr.idxs]
-        if len(idxs) != t.rank or t.size <= 0:
-            raise _EvalFail()
-        flat = 0
-        for idx, extent in zip(idxs, t.shape):
-            if not isinstance(idx, int) or idx < 0 or idx >= extent:
-                raise _EvalFail()
-            flat = flat * extent + idx
-        return t.flat_get(flat)
-    if isinstance(expr, Arith):
-        a = _eval_value(expr.left, binding, env)
-        b = _eval_value(expr.right, binding, env)
-        r = _arith(expr.op, a, b)
-        if r is _FAIL:
-            raise _EvalFail()
-        return r
-    raise ConstraintError(f"cannot evaluate {type(expr).__name__} as a value")
-
-
 def _param(binding: dict, name: str):
     try:
         return binding[name]
@@ -342,28 +308,32 @@ def _int_typed(e) -> bool:
     return t is Var or t is Ndim or t is Size or t is Dim
 
 
-def _str_test(e, code: str) -> str:
-    """Source for whether the value `code` of `e` is a str."""
+def _type_test(e, code: str, number: bool) -> str:
+    """Source for whether the value `code` of `e` is a number (an int or a
+    float) or, with `number` false, a str."""
+    types, name = ((int, float), "(int, float)") if number else (str, "str")
     if type(e) is Lit:
-        return str(isinstance(e.value, str))
-    return "False" if type(e) is Arith or _int_typed(e) else f"isinstance({code}, str)"
+        return str(isinstance(e.value, types))
+    return str(number) if type(e) is Arith or _int_typed(e) else f"isinstance({code}, {name})"
 
 
 class _Lowering:
-    """The body of one `pred(b)`: each atom a local, each failure an early
-    `return False`, and every value from the corpus a name in `ns`."""
+    """The body of one `pred(b)`, or in value mode of one `value(b)`: each
+    atom a local, each failure an early `return False` (`return _FAIL` in
+    value mode), and every value from the corpus a name in `ns`."""
 
-    def __init__(self):
+    def __init__(self, fail: str = "False"):
         self.ns = {"_T": TensorVal, "_CE": ConstraintError, "_arith": _arith, "_FAIL": _FAIL, "_CMP": _CMP, "_probes": _probes}
         self.lines = []
         self.pad = "    "
         self.n = 0
+        self.fail = fail
 
     def emit(self, line: str):
         self.lines.append(self.pad + line)
 
     def fail_if(self, cond: str):
-        self.emit(f"if {cond}: return False")
+        self.emit(f"if {cond}: return {self.fail}")
 
     def name(self) -> str:
         self.n += 1
@@ -442,11 +412,15 @@ class _Lowering:
         t = type(e)
         if t is Cmp:
             a, c = self.value(e.left, scope), self.value(e.right, scope)
-            sa, sc = _str_test(e.left, a), _str_test(e.right, c)
-            if sa != sc:  # a str compares only with a str, and only for (in)equality
-                self.fail_if(f"{sa} != {sc}")
-            if e.op not in ("==", "!=") and sa != "False":
-                self.fail_if(sa)
+            if e.op in ("==", "!="):
+                sa, sc = _type_test(e.left, a, False), _type_test(e.right, c, False)
+                if sa != sc:  # a str equals only a str
+                    self.fail_if(f"{sa} != {sc}")
+            else:  # only numbers are ordered
+                for side, code in ((e.left, a), (e.right, c)):
+                    test = _type_test(side, code, True)
+                    if test != "True":
+                        self.fail_if(f"not {test}")
             self.fail_if(f"not {a} {e.op} {c}" if e.op in CMP_OPS else f"not _CMP[{self.const(e.op)}]({a}, {c})")
         elif t is Forall:
             lo, hi = self.value(e.lo, scope), self.value(e.hi, scope)
@@ -476,17 +450,23 @@ def _code(source: str):
     return compile(source, "<constraint>", "exec")
 
 
-def _compile(expr):
-    """`expr`'s predicate, cached on the node on first use."""
-    low = _Lowering()
-    low.pred(expr, {})
+def _compile(expr, name: str):
+    """`expr`'s function `name`, "pred" or "value", cached on the node as
+    `_pred` or `_value` on first use."""
+    if name == "pred":
+        low = _Lowering()
+        low.pred(expr, {})
+        result = "True"
+    else:
+        low = _Lowering("_FAIL")
+        result = low.value(expr, {})
     ns = low.ns
-    exec(_code("def pred(b):\n" + "\n".join(low.lines) + "\n    return True\n"), ns)
+    exec(_code(f"def {name}(b):\n" + "\n".join(low.lines) + f"\n    return {result}\n"), ns)
     try:
-        object.__setattr__(expr, "_pred", ns["pred"])
+        object.__setattr__(expr, "_" + name, ns[name])
     except AttributeError:
-        pass  # not a node: its predicate only raises
-    return ns["pred"]
+        pass  # not a node: its function only raises
+    return ns[name]
 
 
 def evaluate(expr, binding: dict) -> bool:
@@ -494,8 +474,21 @@ def evaluate(expr, binding: dict) -> bool:
     try:
         pred = expr._pred
     except AttributeError:
-        pred = _compile(expr)
+        pred = _compile(expr, "pred")
     return pred(binding)
+
+
+def value_of(expr, binding: dict):
+    """The value of one value expression under a concrete binding; raises
+    _EvalFail where it has none (an atom out of range, bad arithmetic)."""
+    try:
+        f = expr._value
+    except AttributeError:
+        f = _compile(expr, "value")
+    v = f(binding)
+    if v is _FAIL:
+        raise _EvalFail()
+    return v
 
 
 def evaluate_tree(tree: ConstraintTree, binding: dict) -> bool:
@@ -578,11 +571,8 @@ def _fold(expr):
         return expr
     expr = rebuild(expr, [_fold(k) for k in kids])
     if type(expr) is Arith and type(expr.left) is Lit and type(expr.right) is Lit:
-        try:
-            value = _eval_value(expr, {}, {})
-        except _EvalFail:
-            return expr
-        if not isinstance(value, float) or math.isfinite(value):  # the grammar writes no inf or nan
+        value = _arith(expr.op, expr.left.value, expr.right.value)
+        if value is not _FAIL and (not isinstance(value, float) or math.isfinite(value)):  # the grammar writes no inf or nan
             return Lit(value)
     return expr
 

@@ -30,7 +30,7 @@ from .constraints import (
     _fold,
     normal_form,
 )
-from .kernel.ir import IfRegion, KernelIR, LoopRegion, RequireRegion
+from .kernel.ir import IfRegion, KernelIR, LoopRegion, RequireRegion, reads
 from .kernel.parser import def_map
 from .kernel.vm import _CMP
 
@@ -76,35 +76,18 @@ def propagate_taint(kernel: KernelIR, seeds: dict | None = None) -> dict:
         changed = False
         for block in kernel.blocks:
             for inst in block.instrs:
-                op = inst.opcode
-                if op in ("get_input", "get_attr", "const", "emit"):
-                    continue
-                if op == "tstore":
-                    base, idxs, val = inst.args
-                    flowed = get(val).union(*[get(i) for i in idxs]) if idxs else set(get(val))
-                    cur = taint.setdefault(base, set())
-                    if not flowed <= cur:
-                        cur |= flowed
-                        changed = True
-                    continue
-                if op in ("bin", "cmp", "logic"):
-                    operands = [a for a in inst.args[1:] if a is not None]
-                elif op == "tload":
-                    operands = [inst.args[0], *inst.args[1]]
-                elif op in ("rank", "size"):
-                    operands = [inst.args[0]]
-                elif op == "dim":
-                    operands = list(inst.args)
-                elif op == "res_call":
-                    operands = list(inst.args[2])
-                else:
-                    raise ExtractionError(f"{kernel.kernel_id}: unknown opcode {op!r}")
-                if inst.dst is None:
+                operands = reads(inst)
+                if operands is None:
+                    raise ExtractionError(f"{kernel.kernel_id}: unknown opcode {inst.opcode!r}")
+                dst = inst.dst
+                if inst.opcode == "tstore":
+                    dst, operands = operands[0], operands[1:]  # the store taints its tensor
+                if dst is None:
                     continue
                 flowed = set()
                 for a in operands:
                     flowed |= get(a)
-                cur = taint.setdefault(inst.dst, set())
+                cur = taint.setdefault(dst, set())
                 if not flowed <= cur:
                     cur |= flowed
                     changed = True
@@ -114,10 +97,8 @@ def propagate_taint(kernel: KernelIR, seeds: dict | None = None) -> dict:
 @dataclass(frozen=True)
 class SinkSite:
     block: int
-    cond_id: int
     pass_on_true: bool
     params: frozenset
-    tag: str
 
 
 def _reaches_fail(kernel: KernelIR, bid: int) -> bool:
@@ -145,7 +126,7 @@ def find_sinks(kernel: KernelIR, taint: dict | None = None) -> list:
         term = block.terminator
         if term[0] != "br":
             continue
-        _, cond, then_bid, else_bid, tag = term
+        _, cond, then_bid, else_bid, _ = term
         params = taint.get(cond, frozenset())
         if not params:
             continue
@@ -153,7 +134,7 @@ def find_sinks(kernel: KernelIR, taint: dict | None = None) -> list:
         else_fails = _reaches_fail(kernel, else_bid)
         if not (then_fails or else_fails):
             continue
-        sinks.append(SinkSite(block.bid, cond, not then_fails, frozenset(params), tag))
+        sinks.append(SinkSite(block.bid, not then_fails, frozenset(params)))
     return sinks
 
 

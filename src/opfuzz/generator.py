@@ -14,8 +14,10 @@ keeps the active constraints; per (param, names already bound) it keeps
 the constraints that resolve for the param and the bound atoms their
 residuals fold to literals; and per plan a memo maps those atoms' values
 to the hints read from the residuals, whose candidate pools are cached in
-turn.  A draw then only evaluates atoms, consumes the rng and tests
+turn.  A draw then only reads atoms, consumes the rng and tests
 candidates, in the same order as without plans, so reports do not change.
+Atoms are read through `constraints.value_of` and candidates tested
+through `constraints.evaluate`, the compiled forms of one lowering.
 Repair's first pass skips the constraints a param's solve already saw
 hold.  Each pick from a pool, and each resource state, is drawn with
 `_below(getrandbits, n)`, which gives `randrange(n)`'s value for the same
@@ -51,7 +53,6 @@ from .constraints import (
     Val,
     Var,
     _EvalFail,
-    _eval_value,
     atoms,
     children,
     evaluate,
@@ -60,6 +61,7 @@ from .constraints import (
     render,
     replace,
     toposort_params,
+    value_of,
 )
 from .kernel.ir import DType, INT64_MAX, INT64_MIN, ResourceRef, TensorVal
 
@@ -193,7 +195,7 @@ def _substitute_bound(expr, bound: dict, keep: str):
     Raises _EvalFail when a bound atom cannot evaluate (the constraint is
     already unsatisfiable regardless of `keep`).
     """
-    return replace(expr, lambda e: Lit(_eval_value(e, bound, {})) if _folds(e, bound, keep) else None)
+    return replace(expr, lambda e: Lit(value_of(e, bound)) if _folds(e, bound, keep) else None)
 
 
 def _fold_atoms(expr, bound, keep: str) -> tuple:
@@ -229,7 +231,7 @@ def _fold_key(folds, bound: dict) -> tuple:
         mark = len(key)
         try:
             for atom in group:
-                key.append(_value_key(_eval_value(atom, bound, {})))
+                key.append(_value_key(value_of(atom, bound)))
         except _EvalFail:
             del key[mark:]
             key.append(_DEAD)
@@ -339,25 +341,22 @@ def _hint_cmp(hints: _TensorHints, scalar: _Range, op: str, left, right, keep: s
     if not is_keep_atom(left) and is_keep_atom(right):
         left, right = right, left
         op = FLIP_CMP[op]
-    if not isinstance(right, Lit):
+    if not isinstance(right, Lit) or not is_keep_atom(left):
         return _hint_modulo(hints, left, right, op, keep)
     v = right.value
-    if isinstance(left, AttrRef) and left.param == keep:
+    if isinstance(left, AttrRef):
         scalar.bound(op, v)
-    elif isinstance(left, Ndim) and left.param == keep:
+    elif isinstance(left, Ndim):
         hints.rank.bound(op, v)
-    elif isinstance(left, Size) and left.param == keep:
+    elif isinstance(left, Size):
         hints.size.bound(op, v)
-    elif isinstance(left, Dim) and left.param == keep:
+    elif isinstance(left, Dim):
         hints.dim(left.axis).bound(op, v)
-    elif isinstance(left, Val) and left.param == keep:
-        if left.idxs and all(isinstance(i, Lit) for i in left.idxs):
-            idx = tuple(i.value for i in left.idxs)
-            hints.at_index.setdefault(idx, _Range()).bound(op, v)
-        else:
-            hints.elems.bound(op, v)
+    elif left.idxs and all(isinstance(i, Lit) for i in left.idxs):
+        idx = tuple(i.value for i in left.idxs)
+        hints.at_index.setdefault(idx, _Range()).bound(op, v)
     else:
-        _hint_modulo(hints, left, right, op, keep)
+        hints.elems.bound(op, v)
 
 
 def _hint_modulo(hints: _TensorHints, left, right, op: str, keep: str):
@@ -375,8 +374,6 @@ def _hint_modulo(hints: _TensorHints, left, right, op: str, keep: str):
                 hints.dim(inner.axis).moduli.append(m)
             elif isinstance(inner, Size) and inner.param == keep:
                 hints.size.moduli.append(m)
-            elif isinstance(inner, AttrRef) and inner.param == keep:
-                pass  # scalar moduli handled via candidate testing
 
 
 def _collect_hints(exprs, keep: str) -> tuple:
@@ -844,7 +841,7 @@ class GuidedGenerator:
         other = body.right if val_atom is body.left else body.left
         if not isinstance(other, Lit):
             try:
-                other = Lit(_eval_value(other, new, {}))
+                other = Lit(value_of(other, new))
             except Exception:
                 return None
         op = body.op if val_atom is body.left else FLIP_CMP[body.op]

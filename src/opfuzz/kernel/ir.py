@@ -161,6 +161,31 @@ class Instruction:
         return f"<{self.opcode} dst={self.dst} args={self.args}>"
 
 
+def reads(instr: Instruction) -> tuple | None:
+    """The value ids an instruction reads, in operand order; None for an
+    opcode the IR does not define."""
+    op, args = instr.opcode, instr.args
+    if op in ("bin", "cmp"):
+        return args[1:]
+    if op == "logic":
+        return tuple(a for a in args[1:] if a is not None)
+    if op in ("rank", "size"):
+        return args[:1]
+    if op == "dim":
+        return args[:2]
+    if op in ("tload", "index"):
+        return (args[0], *args[1])
+    if op == "tstore":
+        return (args[0], *args[1], args[2])
+    if op == "emit":
+        return args[1:2]
+    if op == "res_call":
+        return tuple(args[2])
+    if op in ("const", "get_input", "get_attr"):
+        return ()
+    return None
+
+
 @dataclass
 class Block:
     bid: int

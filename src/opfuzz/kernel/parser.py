@@ -121,7 +121,6 @@ class _Lowerer:
         self.param_types: dict[str, str] = {}
         # lexical scopes of locals: name -> (value_id, type)
         self.scopes: list[dict[str, tuple[int, str]]] = []
-        self.input_count = 0
 
     # -- token plumbing --
 
@@ -276,7 +275,6 @@ class _Lowerer:
             else:
                 self.append("get_attr", vid, (p.name,))
             self.param_ids[p.name] = vid
-        self.input_count = idx
 
     # -- statements --
 

@@ -16,14 +16,16 @@ mirroring frontend parameter errors rather than crashes.
 Each kernel is compiled once, on its first `execute`, into a `_Program`
 cached on the kernel (`KernelIR.compiled`). Value ids become slots of a
 list env; per block the program holds a tuple of closures with their
-operands resolved, plus the encoded terminator. One lowering pass emits two
-closures per instruction: one over concrete values for eager runs, and one
-over the {known, unknown} shape domain for the graph prepass, so both modes
-are short block walkers over the same program. Consts written by exactly
-one instruction are preloaded into per-kernel env templates, parameter
-fetches fill their slots as the env is built, and in the shape domain the
-element loads, index computations and resource calls written once are
-unknown from the start.
+operands resolved, plus the encoded terminator. Each instruction has one
+semantics, its closure over concrete values for eager runs. The graph
+prepass runs that closure lifted over one extra value, unknown, as abstract
+interpretation lifts a concrete transfer function: an instruction that
+reads an unknown value or crashes writes unknown. Both modes are short
+block walkers over the same program. Consts written by exactly one
+instruction are preloaded into per-kernel env templates, parameter fetches
+fill their slots as the env is built, and in the shape domain the element
+loads, index computations and resource calls written once are unknown from
+the start.
 Compilation changes speed, never results: for every binding the verdict,
 the covered blocks, the outputs and their order, the crash site (its
 `instr_index` counts positions in `block.instrs`, skipped consts included),
@@ -53,6 +55,7 @@ from .ir import (
     Success,
     TensorVal,
     ValidationReject,
+    reads,
 )
 
 MODES = ("eager", "graph")
@@ -331,28 +334,6 @@ def _gather(ids):
     return operator.itemgetter(*ids)
 
 
-def _reads(instr) -> tuple:
-    """The value ids an instruction reads."""
-    op, args = instr.opcode, instr.args
-    if op in ("bin", "cmp"):
-        return args[1:]
-    if op == "logic":
-        return tuple(a for a in args[1:] if a is not None)
-    if op in ("rank", "size"):
-        return args[:1]
-    if op == "dim":
-        return args[:2]
-    if op in ("tload", "index"):
-        return (args[0], *args[1])
-    if op == "tstore":
-        return (args[0], *args[1], args[2])
-    if op == "emit":
-        return args[1:2]
-    if op == "res_call":
-        return tuple(args[2])
-    return ()
-
-
 def _eager_op(instr, kernel, bslot, oslot, rslot):
     """One instruction over concrete values: a closure that updates the env."""
     op, d, args = instr.opcode, instr.dst, instr.args
@@ -477,85 +458,39 @@ def _eager_op(instr, kernel, bslot, oslot, rslot):
 
 def _shape_op(instr, kernel, bslot):
     """One instruction over the {known, unknown} shape domain, or None when
-    the instruction leaves the env as it is."""
-    op, d, args = instr.opcode, instr.dst, instr.args
+    the instruction leaves the env as it is.
+
+    The eager closure lifted over one extra value: it writes unknown when
+    any value it reads is unknown or when it crashes, and a shape query over
+    a value that has no shape is unknown too. Element loads, index
+    computations and resource calls are always unknown; stores and emits
+    are skipped.
+    """
+    op, d = instr.opcode, instr.dst
     U = _UNKNOWN
-    if op in ("const", "get_input", "get_attr"):
-        return _eager_op(instr, kernel, bslot, None, None)
     if op in ("tload", "index", "res_call"):
 
         def run(env):
             env[d] = U
 
-    elif op == "tstore" or op == "emit":
+        return run
+    if op == "tstore" or op == "emit":
         return None
-    elif op == "rank":
-        t = args[0]
+    eager = _eager_op(instr, kernel, bslot, None, None)
+    ids = reads(instr)
+    if not ids:
+        return eager  # a const, a parameter fetch or an unknown opcode
+    unknown_on = (_CrashSignal, AttributeError, TypeError) if op in ("rank", "size", "dim") else _CrashSignal
+    a, b = ids if len(ids) == 2 else ids * 2  # every such instruction reads one value or two
 
-        def run(env):
-            tensor = env[t]
-            env[d] = tensor.rank if isinstance(tensor, TensorVal) else U
-
-    elif op == "size":
-        t = args[0]
-
-        def run(env):
-            tensor = env[t]
-            env[d] = tensor.size if isinstance(tensor, TensorVal) else U
-
-    elif op == "dim":
-        t, a = args
-
-        def run(env):
-            tensor = env[t]
-            axis = env[a]
-            if isinstance(tensor, TensorVal) and isinstance(axis, int) and 0 <= axis < tensor.rank:
-                env[d] = tensor.shape[axis]
-            else:
+    def run(env):
+        if env[a] is U or env[b] is U:
+            env[d] = U
+        else:
+            try:
+                eager(env)
+            except unknown_on:
                 env[d] = U
-
-    elif op == "bin":
-        o, a, b = args
-        arith = _INT_FAST.get(o)
-
-        def run(env):
-            x = env[a]
-            y = env[b]
-            if x is U or y is U:
-                env[d] = U
-            elif arith is not None and type(x) is int and type(y) is int:
-                r = arith(x, y)
-                env[d] = U if r < INT64_MIN or r > INT64_MAX else r
-            else:
-                try:
-                    env[d] = _bin_op(o, x, y)
-                except _CrashSignal:
-                    env[d] = U
-
-    elif op == "cmp":
-        o, a, b = args
-        cmp = _CMP[o]
-
-        def run(env):
-            x = env[a]
-            y = env[b]
-            env[d] = U if x is U or y is U else cmp(x, y)
-
-    elif op == "logic":
-        o, a, b = args
-
-        def run(env):
-            x = env[a]
-            y = env[b] if b is not None else None
-            if x is U or (b is not None and y is U):
-                env[d] = U
-            else:
-                env[d] = (not x) if o == "not" else (x and y) if o == "and" else (x or y)
-
-    else:
-
-        def run(env):
-            raise EngineError(f"unknown opcode {op!r}")
 
     return run
 
@@ -597,7 +532,7 @@ class _Program:
         for instr in instrs:
             if instr.dst is not None:
                 writes[instr.dst] = writes.get(instr.dst, 0) + 1
-            read.update(_reads(instr))
+            read.update(reads(instr) or ())
         for b in kernel.blocks:
             if b.terminator and b.terminator[0] == "br":
                 read.add(b.terminator[1])
@@ -759,11 +694,9 @@ def execute(kernel: KernelIR, binding: dict, mode: str = "eager", handles: Handl
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}")
     prog = kernel.compiled or _program(kernel)
-    kid = kernel.kernel_id
-    for check in prog.checks:
-        reject = check(binding, kid)
-        if reject is not None:
-            return ExecOutcome(ValidationReject(reject, kernel.entry), frozenset({(kid, kernel.entry)}))
+    reject = check_binding(kernel, binding)
+    if reject is not None:
+        return ExecOutcome(ValidationReject(reject, kernel.entry), frozenset({(kernel.kernel_id, kernel.entry)}))
     if mode == "graph":
         early = shape_infer_prepass(kernel, binding)
         if early is not None:

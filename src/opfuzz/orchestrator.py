@@ -214,7 +214,7 @@ class _Campaign:
 
     # execution plumbing
 
-    def _run_scaffold(self, op: str, mode: str, rng, handles: HandleTable, stats: _OpStats, iteration: int) -> dict:
+    def _run_scaffold(self, op: str, mode: str, rng, handles: HandleTable, iteration: int) -> dict:
         """Run sequence predecessors, returning live handles by entity.
         Scaffold coverage counts toward the timeline but not executions."""
         seq = self.corpus.sequence_for(op)
@@ -258,7 +258,7 @@ class _Campaign:
         outcomes = []
         for mode in self.config.modes:
             handles = HandleTable()
-            live = self._run_scaffold(op, mode, rng, handles, stats, iteration)
+            live = self._run_scaffold(op, mode, rng, handles, iteration)
             wired = dict(binding)
             self._wire_handles(wired, live)
             out = execute(kernel, wired, mode, handles)
@@ -366,10 +366,12 @@ def checkpoints_for(iterations: int) -> list:
 def run_campaign(corpus: Corpus, config: CampaignConfig) -> dict:
     ops = [s.name for s in corpus.registry.testable]
     if config.ops is not None:
-        unknown = [o for o in config.ops if o not in ops]
+        groups = corpus.registry.by_name
+        unknown = [o for o in config.ops if o not in groups or groups[o].name not in ops]
         if unknown:
             raise CampaignConfigError(f"unknown or untestable ops: {unknown}")
-        ops = [o for o in ops if o in set(config.ops)]
+        wanted = {groups[o].name for o in config.ops}
+        ops = [o for o in ops if o in wanted]
 
     campaign = _Campaign(corpus, config)
     arms = ("guided", "random") if config.strategy == "both" else (config.strategy,)
@@ -395,10 +397,7 @@ def run_campaign(corpus: Corpus, config: CampaignConfig) -> dict:
 
     timeline = {"checkpoints": checkpoints_for(config.iterations)}
     for arm in arms:
-        key = "blocks" if arm == "guided" and config.strategy != "random" else f"{arm}_blocks"
-        if config.strategy == "random":
-            key = "blocks"
-        timeline[key] = timelines[arm]
+        timeline["blocks" if arm == arms[0] else f"{arm}_blocks"] = timelines[arm]
 
     report = {
         "config": {**config.as_json(), "truncated": campaign.truncated},
@@ -497,7 +496,7 @@ def compare_reports(guided: dict, random_report: dict) -> tuple:
     if g_tl["checkpoints"] != r_tl["checkpoints"]:
         return 1, ["timeline checkpoints differ"]
     # a `both` report keeps its guided timeline under "blocks"
-    g_blocks = g_tl.get("blocks", g_tl.get("guided_blocks"))
+    g_blocks = g_tl["blocks"]
     r_blocks = r_tl.get("random_blocks", r_tl.get("blocks"))
     for c, gv, rv in zip(g_tl["checkpoints"], g_blocks, r_blocks):
         ok = gv >= rv

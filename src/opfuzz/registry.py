@@ -406,8 +406,9 @@ class Registry:
 
     @cached_property
     def by_name(self) -> dict[str, OpGroup]:
-        """Groups by name, built on first use: `groups` is fixed once built."""
-        return {g.name: g for g in self.groups}
+        """Groups by name and by each member's dotted name, as `list-ops`
+        prints it; built on first use: `groups` is fixed once built."""
+        return {name: g for g in self.groups for name in (*g.members, g.name)}
 
     @property
     def testable(self) -> list[OpSpec]:

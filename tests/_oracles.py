@@ -7,8 +7,9 @@ paths, exhaustive small-domain enumeration for generation soundness,
 the stdlib `random` calls the random baseline's direct bit draws replace,
 a plain instruction-by-instruction interpreter for the compiled VM,
 the per-node-type constraint walkers and arithmetic that the expression
-core replaced, the AST interpreter the compiled constraint predicates
-replaced, the hand-written lexers the regex scanner replaced, and the
+core replaced, the AST interpreter and its atom reader (`_eval_value`) the
+compiled constraint predicates and value functions replaced, the
+hand-written lexers the regex scanner replaced, and the
 two-pass extractor the one region walk replaced. Oracles share only parsed
 inputs, constants and value types with the code under test, never logic,
 except where a section says so.
@@ -38,9 +39,11 @@ from opfuzz.constraints import (
     Unliftable,
     Val,
     Var,
-    _eval_value,
+    _FAIL,
     _EvalFail,
     _ExprParser,
+    _arith,
+    _param,
     _tensor,
     _fold,
     nodes,
@@ -728,12 +731,55 @@ def reference_execute(kernel: KernelIR, binding: dict, mode: str, handles) -> Ex
 # The hand-written recursive walkers the traversal core in `constraints`
 # (`children`/`rebuild`/`nodes`/`atoms`/`replace`) replaced, each listing the
 # node types itself. What they pin is which nodes a walk visits, in what
-# order, and how it rebuilds the tree; they read atom values through the
-# package's `_eval_value` and render through its `render`, and fold
+# order, and how it rebuilds the tree; they read atom values through
+# `_eval_value` below and render through the package's `render`, and fold
 # arithmetic with `reference_arith` below. `reference_evaluate` is the
 # evaluator `constraints.evaluate` compiles into one generated function per
 # expression; it too reads values through `_eval_value`, the package's
-# `_tensor` and the traversal core's `nodes`.
+# `_tensor` and the traversal core's `nodes`. `_eval_value` is the atom
+# reader `constraints.value_of` compiles away, moved here unchanged: it
+# shares the package's `_param`, `_tensor` and `_arith` (its operand rule in
+# front of the VM's arithmetic, which `reference_arith` pins on its own).
+
+
+def _eval_value(expr, binding: dict, env: dict):
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            raise ConstraintError(f"unbound quantifier variable {expr.name!r}")
+    if isinstance(expr, AttrRef):
+        return _param(binding, expr.param)
+    if isinstance(expr, Ndim):
+        return _tensor(binding, expr.param).rank
+    if isinstance(expr, Size):
+        return _tensor(binding, expr.param).size
+    if isinstance(expr, Dim):
+        t = _tensor(binding, expr.param)
+        if expr.axis < 0 or expr.axis >= t.rank:
+            raise _EvalFail()
+        return t.shape[expr.axis]
+    if isinstance(expr, Val):
+        t = _tensor(binding, expr.param)
+        idxs = [_eval_value(i, binding, env) for i in expr.idxs]
+        if len(idxs) != t.rank or t.size <= 0:
+            raise _EvalFail()
+        flat = 0
+        for idx, extent in zip(idxs, t.shape):
+            if not isinstance(idx, int) or idx < 0 or idx >= extent:
+                raise _EvalFail()
+            flat = flat * extent + idx
+        return t.flat_get(flat)
+    if isinstance(expr, Arith):
+        a = _eval_value(expr.left, binding, env)
+        b = _eval_value(expr.right, binding, env)
+        r = _arith(expr.op, a, b)
+        if r is _FAIL:
+            raise _EvalFail()
+        return r
+    raise ConstraintError(f"cannot evaluate {type(expr).__name__} as a value")
 
 
 class ArithFail(Exception):
@@ -958,8 +1004,8 @@ def ref_var_only_in_val_indices(expr, var: str) -> bool:
 
 def reference_evaluate(expr, binding: dict) -> bool:
     """The AST interpreter `evaluate` compiles away: each node evaluated
-    where it stands, its operands read through the package's `_eval_value`,
-    a quantifier walked with a fresh env per index."""
+    where it stands, its operands read through `_eval_value`, a quantifier
+    walked with a fresh env per index."""
     try:
         return _ref_eval_bool(expr, binding, {})
     except _EvalFail:
@@ -976,7 +1022,8 @@ def _ref_eval_bool(expr, binding: dict, env: dict) -> bool:
         b = _eval_value(expr.right, binding, env)
         if isinstance(a, str) != isinstance(b, str):
             raise _EvalFail()
-        if isinstance(a, str) and expr.op not in ("==", "!="):
+        # only numbers are ordered
+        if expr.op not in ("==", "!=") and not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
             raise _EvalFail()
         return _REF_CMP[expr.op](a, b)
     if isinstance(expr, Forall):

@@ -190,6 +190,18 @@ def test_fuzz_unknown_op_in_config(capsys, tmp_path):
     assert code == 2
 
 
+def test_fuzz_config_takes_the_dotted_names_list_ops_prints(capsys, tmp_path):
+    path = tmp_path / "dotted.cfg"
+    path.write_text("iterations = 5\nops = raw_ops.ArgMax\n")
+    code, out, _ = run_cli(capsys, "fuzz", "--config", str(path))
+    assert code == 0
+    assert set(json.loads(out)["operators"]) == {"ArgMax"}
+    # a listed name that is not testable stays a usage error
+    path.write_text("iterations = 5\nops = raw_ops.Abort\n")
+    code, _, err = run_cli(capsys, "fuzz", "--config", str(path))
+    assert code == 2 and "raw_ops.Abort" in err
+
+
 # ------------------------------------------------------------------ report
 
 

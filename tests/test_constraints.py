@@ -81,6 +81,9 @@ FLOAT_INF = TensorVal(DType.DT_FLOAT, (1,), data=[float("inf")])
         (Cmp(">", Lit(1), Lit(2)), {}, False),
         (Cmp("==", Arith("%", Val("x", (Lit(0),)), Lit(2.0)), Lit(0.0)), {"x": FLOAT_INF}, False),
         (Cmp("!=", Arith("%", Lit(float("-inf")), Lit(2.0)), Lit(0.0)), {}, True),
+        # only numbers are ordered: anything else makes an ordering false
+        (Cmp("<", AttrRef("n"), Lit(1)), {"n": ResourceRef("Stack", "live")}, False),
+        (Cmp("<", AttrRef("n"), Lit(1)), {"n": None}, False),
     ],
 )
 def test_evaluate_ground_truth(expr, binding, want):
@@ -486,6 +489,7 @@ def _verdict(fn, expr, binding):
 @settings(max_examples=1500, deadline=None)
 def test_compiled_predicates_match_the_ast_interpreter(expr, binding):
     want = _verdict(reference_evaluate, expr, binding)
+    assert want[:2] != ("raise", "TypeError")
     assert _verdict(evaluate, expr, binding) == want
     assert _verdict(evaluate, expr, binding) == want  # the cached function too
 

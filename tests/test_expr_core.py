@@ -38,7 +38,6 @@ from opfuzz.constraints import (
     Val,
     Var,
     _EvalFail,
-    _eval_value,
     _fold,
     _param_attrs,
     _var_only_in_val_indices,
@@ -48,6 +47,7 @@ from opfuzz.constraints import (
     nodes,
     normalize,
     params_of,
+    value_of,
 )
 from opfuzz.generator import GuidedGenerator, _fold_atoms, _string_literals, _substitute_bound, generate_random
 from opfuzz.kernel.ir import INT64_MAX, INT64_MIN, Crash, DType, ResourceRef, Success, TensorVal, ValidationReject
@@ -170,7 +170,7 @@ def _arith_outcome(fn, op, a, b):
 
 
 def _package_arith(op, a, b):
-    return _eval_value(Arith(op, Lit(a), Lit(b)), {}, {})
+    return value_of(Arith(op, Lit(a), Lit(b)), {})
 
 
 @given(op=_ARITH_OPS, a=_OPERANDS, b=_OPERANDS, c=_OPERANDS)

@@ -155,3 +155,6 @@ def test_build_registry_shape(corpus):
     assert {g.name for g in reg.groups} == {g.name for g in corpus.registry.groups}
     assert reg.by_name["ArgMax"].kernel_id == "ArgKernel"
     assert reg.by_name is reg.by_name
+    # each member's dotted name resolves to its group too
+    assert reg.by_name["raw_ops.ArgMax"] is reg.by_name["ArgMax"]
+    assert reg.by_name["compat.v1.Reshape"] is reg.by_name["raw_ops.Reshape"] is reg.by_name["Reshape"]

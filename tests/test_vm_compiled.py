@@ -314,6 +314,53 @@ def test_bin_operand_types_match_reference(op, a, b):
     assert_same(kernel, {"a": a, "b": b})
 
 
+def _shapeless_kernel():
+    """IR whose shape queries read values without a shape: an int attr as
+    the tensor of `rank`, `size` and `dim`, and a float attr as an axis.
+    The rank of the int decides a branch after a require on the int."""
+    params = [
+        ParamDecl("a", "attr", DType.INT, "scalar"),
+        ParamDecl("f", "attr", DType.FLOAT, "scalar"),
+        ParamDecl("t", "input", DType.DT_INT64, "tensor"),
+    ]
+    entry = [
+        Instruction("get_attr", 0, ("a",)),
+        Instruction("get_attr", 1, ("f",)),
+        Instruction("get_input", 2, (0,)),
+        Instruction("rank", 3, (0,)),
+        Instruction("size", 4, (0,)),
+        Instruction("dim", 5, (0, 0)),
+        Instruction("dim", 6, (2, 1)),
+        Instruction("const", 7, (0,)),
+        Instruction("cmp", 8, (">=", 0, 7)),
+    ]
+    blocks = [
+        Block(0, entry, ("br", 8, 1, 2, "require")),
+        Block(1, [Instruction("cmp", 9, ("==", 3, 7))], ("br", 9, 3, 3, "if")),
+        Block(2, [], ("require_fail", "a must not be negative")),
+        Block(3, [Instruction("emit", None, ("y", 6))], ("ret",)),
+    ]
+    return KernelIR("Shapeless", params, [("y", DType.DT_INT64)], blocks, [])
+
+
+@pytest.mark.parametrize("a", [-1, 0, 2])
+@pytest.mark.parametrize("f", [-1.0, 0.0, 1.0, math.nan])
+def test_shape_queries_over_values_without_shape_are_unknown(a, f):
+    # the eager closures raise here (no `rank` on an int, no float index
+    # into a shape), and the prepass writes unknown, as the reference does
+    kernel = _shapeless_kernel()
+    binding = {"a": a, "f": f, "t": TensorVal(DType.DT_INT64, (2, 3), fill=0)}
+    want = _attempt(reference_prepass, kernel, binding)
+    assert _attempt(vm.shape_infer_prepass, kernel, binding) == want
+    if a >= 0:
+        assert want == ("ok", None)  # the branch on an unknown rank ends the walk
+        return
+    assert want == ("ok", repr(ValidationReject("a must not be negative", 2)), [("Shapeless", 0), ("Shapeless", 2)])
+    # graph mode rejects before any eager closure runs
+    graph = [_attempt(execute, kernel, dict(binding), "graph", vm.HandleTable()) for execute in (vm.execute, reference_execute)]
+    assert graph[0] == graph[1] == want
+
+
 def test_value_read_but_never_written_fails_to_compile():
     kernel = _ir_kernel()
     kernel.blocks[4].instrs.append(Instruction("emit", None, ("y", 42)))
