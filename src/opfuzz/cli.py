@@ -52,6 +52,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _NotAReport(Exception):
+    pass
+
+
+class _ReportObject(dict):
+    """A JSON object read from the report file `path`: a key it lacks is an
+    error that names the file."""
+
+    def __init__(self, obj: dict, path: str):
+        super().__init__(obj)
+        self.path = path
+
+    def __missing__(self, key):
+        raise _NotAReport(f"{self.path}: not a report (missing key {key!r})")
+
+
+def _read_report(path: str) -> dict:
+    return json.loads(Path(path).read_text(), object_hook=lambda obj: _ReportObject(obj, path))
+
+
 def _cmd_list_ops(corpus) -> int:
     reg = corpus.registry
     testable = {g.name for g in reg.groups if g.testable}
@@ -102,12 +122,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "report":
-            report = json.loads(Path(args.path).read_text())
+            report = _read_report(args.path)
             sys.stdout.write(summarize_report(report))
             return 0
         if args.command == "compare":
-            guided = json.loads(Path(args.guided).read_text())
-            rand = json.loads(Path(args.random).read_text())
+            guided, rand = _read_report(args.guided), _read_report(args.random)
             code, lines = compare_reports(guided, rand)
             for line in lines:
                 print(line)
@@ -136,12 +155,9 @@ def main(argv=None) -> int:
     except (CorpusError, CampaignConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except (FileNotFoundError, _NotAReport) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except KeyError as e:
-        print(f"error: unknown operator {e}", file=sys.stderr)
-        return 2
     raise AssertionError("unreachable")
 
 

@@ -220,6 +220,14 @@ def test_report_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_report_on_a_file_that_is_not_a_report(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not a report (missing key 'config')\n"
+
+
 # ----------------------------------------------------------------- compare
 
 
@@ -271,6 +279,22 @@ def test_compare_mismatched_configs_exit_1(capsys, tmp_path, report_pair):
     )
     assert code == 1
     assert "seed" in out
+
+
+def test_compare_names_the_file_that_is_not_a_report(capsys, tmp_path, report_pair):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    code, _, err = run_cli(capsys, "compare", "--guided", str(empty), "--random", str(empty))
+    assert code == 1
+    assert err == f"error: {empty}: not a report (missing key 'config')\n"
+    # a key missing deep inside the second report names that report
+    doc = json.loads(report_pair["random"].read_text())
+    del doc["timeline"]["checkpoints"]
+    doctored = tmp_path / "no_checkpoints.json"
+    doctored.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "compare", "--guided", str(report_pair["guided"]), "--random", str(doctored))
+    assert code == 1
+    assert err == f"error: {doctored}: not a report (missing key 'checkpoints')\n"
 
 
 def test_compare_missing_file(capsys, tmp_path, report_pair):

@@ -1,15 +1,20 @@
 """The compiled VM against a plain interpreter that shares no code with it.
 
-`vm.execute` runs each kernel as a cached program of per-instruction
-closures. `_oracles.reference_execute` walks the IR one instruction at a
-time over a dict env. Both must give the same verdict, covered blocks,
-outputs in the same order, crash site, handle table, binding mutations and
-EngineErrors, and both step caps must trip at the same instruction.
+`vm.execute` runs each kernel through Python source generated for it and
+cached on the kernel. `_oracles.reference_execute` walks the IR one
+instruction at a time over a dict env. Both must give the same verdict,
+covered blocks, outputs in the same order, crash site, handle table,
+binding mutations and EngineErrors, and both step caps must trip at the
+same instruction. Where a value has no shape or no order, the VM raises an
+EngineError and the reference the bare Python error, so those cases are
+tested on their own.
 """
 
 import copy
+import io
 import math
 import random
+import tokenize
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import reference_execute, reference_prepass
 from opfuzz import orchestrator
+from opfuzz.corpus import load_corpus
 from opfuzz.generator import GuidedGenerator, generate_random
 from opfuzz.kernel import vm
 from opfuzz.kernel.ir import (
@@ -359,6 +365,100 @@ def test_shape_queries_over_values_without_shape_are_unknown(a, f):
     # graph mode rejects before any eager closure runs
     graph = [_attempt(execute, kernel, dict(binding), "graph", vm.HandleTable()) for execute in (vm.execute, reference_execute)]
     assert graph[0] == graph[1] == want
+
+
+def _bad_read_kernel(op, args):
+    """One instruction over an int attr (value 0), a float attr (1), a str
+    attr (2), a tensor (3) and the const 0 (4), its result emitted."""
+    params = [
+        ParamDecl("a", "attr", DType.INT, "scalar"),
+        ParamDecl("f", "attr", DType.FLOAT, "scalar"),
+        ParamDecl("s", "attr", DType.STRING, "scalar"),
+        ParamDecl("t", "input", DType.DT_INT64, "tensor"),
+    ]
+    instrs = [
+        Instruction("get_attr", 0, ("a",)),
+        Instruction("get_attr", 1, ("f",)),
+        Instruction("get_attr", 2, ("s",)),
+        Instruction("get_input", 3, (0,)),
+        Instruction("const", 4, (0,)),
+        Instruction(op, 5, args),
+        Instruction("emit", None, ("y", 5)),
+    ]
+    return KernelIR("Bad", params, [("y", DType.DT_INT64)], [Block(0, instrs, ("ret",))], [])
+
+
+BAD_READS = {
+    "rank of an int": ("rank", (0,)),
+    "size of an int": ("size", (0,)),
+    "dim of an int": ("dim", (0, 4)),
+    "dim with a float axis": ("dim", (3, 1)),
+    "an int ordered against a str": ("cmp", ("<", 0, 2)),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", sorted(BAD_READS))
+def test_values_without_shape_or_order_raise_engine_error(case, mode):
+    op, args = BAD_READS[case]
+    kernel = _bad_read_kernel(op, args)
+    binding = {"a": 0, "f": 1.0, "s": "x", "t": TensorVal(DType.DT_INT64, (2, 3), fill=0)}
+    with pytest.raises(EngineError, match=rf"^Bad: {op} in block 0, instruction 5: (AttributeError|TypeError): "):
+        vm.execute(kernel, binding, mode, vm.HandleTable())
+    if op != "cmp":
+        # a shape query the prepass cannot answer is unknown, as in the reference
+        assert _attempt(vm.shape_infer_prepass, kernel, binding) == _attempt(reference_prepass, kernel, binding) == ("ok", None)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rank_of_an_int_past_the_prepass_raises_engine_error(mode):
+    # a = 0 passes the require and the prepass ends at the branch on an
+    # unknown rank, so the eager run reads `rank` off the int
+    binding = {"a": 0, "f": 1.0, "t": TensorVal(DType.DT_INT64, (2, 3), fill=0)}
+    with pytest.raises(EngineError, match=r"^Shapeless: rank in block 0, instruction 3: AttributeError: "):
+        vm.execute(_shapeless_kernel(), binding, mode)
+
+
+def test_generated_source_is_stable_and_holds_no_corpus_text(corpus):
+    again = load_corpus()
+    for spec in corpus.registry.testable:
+        kernel, fresh = corpus.kernel_for(spec.name), again.kernel_for(spec.name)
+        assert kernel is not fresh
+        source = vm._program(kernel).source
+        assert source == vm._program(fresh).source, spec.name
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t.string for t in tokens if t.type == tokenize.STRING], spec.name
+        words = {p.name for p in kernel.params} | {name for name, _ in kernel.outputs}
+        words |= {p.entity for p in kernel.params if p.entity}
+        words |= {i.args[1] for b in kernel.blocks for i in b.instrs if i.opcode == "res_call"}
+        # attribute names (`.shape`, `.size`) are the VM's, not the corpus's
+        names = {t.string for prev, t in zip(tokens, tokens[1:]) if t.type == tokenize.NAME and prev.string != "."}
+        assert not words & names, spec.name
+        messages = [b.terminator[1] for b in kernel.blocks if b.terminator[0] == "require_fail"]
+        assert not [m for m in messages if m in source], spec.name
+
+
+def _quoted_kernel(name):
+    """A require on an int attr named `name`, whose message and output name
+    hold `name` too."""
+    instrs = [
+        Instruction("get_attr", 0, (name,)),
+        Instruction("const", 1, (0,)),
+        Instruction("cmp", 2, (">", 0, 1)),
+    ]
+    blocks = [
+        Block(0, instrs, ("br", 2, 1, 2, "require")),
+        Block(1, [Instruction("emit", None, (name, 0))], ("ret",)),
+        Block(2, [], ("require_fail", f"{name} must be positive")),
+    ]
+    return KernelIR("Quoted", [ParamDecl(name, "attr", DType.INT, "scalar")], [(name, DType.DT_INT64)], blocks, [])
+
+
+@pytest.mark.parametrize("value", [-1, 0, 3, 1.5, None])
+def test_quotes_backslashes_and_newlines_in_names_run_like_the_reference(value):
+    name = 'q"\'\\\n"""x'
+    binding = {} if value is None else {name: value}
+    assert_same(_quoted_kernel(name), binding)
 
 
 def test_value_read_but_never_written_fails_to_compile():
