@@ -352,8 +352,8 @@ def _shapeless_kernel():
 @pytest.mark.parametrize("a", [-1, 0, 2])
 @pytest.mark.parametrize("f", [-1.0, 0.0, 1.0, math.nan])
 def test_shape_queries_over_values_without_shape_are_unknown(a, f):
-    # the eager closures raise here (no `rank` on an int, no float index
-    # into a shape), and the prepass writes unknown, as the reference does
+    # the eager run raises here (no `rank` on an int, no float index into
+    # a shape), and the prepass writes unknown, as the reference does
     kernel = _shapeless_kernel()
     binding = {"a": a, "f": f, "t": TensorVal(DType.DT_INT64, (2, 3), fill=0)}
     want = _attempt(reference_prepass, kernel, binding)
@@ -362,7 +362,7 @@ def test_shape_queries_over_values_without_shape_are_unknown(a, f):
         assert want == ("ok", None)  # the branch on an unknown rank ends the walk
         return
     assert want == ("ok", repr(ValidationReject("a must not be negative", 2)), [("Shapeless", 0), ("Shapeless", 2)])
-    # graph mode rejects before any eager closure runs
+    # graph mode rejects before the eager run starts
     graph = [_attempt(execute, kernel, dict(binding), "graph", vm.HandleTable()) for execute in (vm.execute, reference_execute)]
     assert graph[0] == graph[1] == want
 
