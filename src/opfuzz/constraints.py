@@ -35,7 +35,12 @@ an early `return False`; `+ - *` on two operands that are always exact ints is
 checked inline against the int64 range, and every other operation goes
 through `_arith`.  A `Forall` becomes a `for` loop; where its variable only
 ever is a whole val() index, a range over 10,000 loops over the indices
-`_probes` picks instead, one per distinct element.  No corpus text reaches
+`_probes` picks instead, one per distinct element.  Any other `Forall`
+walks at most `vm._STEP_CAP` indices and is false over a longer range:
+a check that cannot be made is false, and the kernel's own loop, which
+runs at least one step per index, has hit that step cap first.  A range
+just under the cap whose kernel loop takes several steps per index can
+still pass here and fail the kernel.  No corpus text reaches
 the generated source: param names, str and float literals, messages and
 the quantifier's tensors are names in the function's globals, and the
 source holds only names the compiler makes up, the grammar's operators and
@@ -53,8 +58,9 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import lru_cache
 
+from .kernel import vm
 from .kernel.ir import INT64_MAX, INT64_MIN, TensorVal
-from .kernel.parser import scan, token_pattern
+from .kernel.parser import Tokens, token_pattern
 from .kernel.vm import _CMP, _CrashSignal, _bin_op
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -323,7 +329,7 @@ class _Lowering:
     value mode), and every value from the corpus a name in `ns`."""
 
     def __init__(self, fail: str = "False"):
-        self.ns = {"_T": TensorVal, "_CE": ConstraintError, "_arith": _arith, "_FAIL": _FAIL, "_CMP": _CMP, "_probes": _probes}
+        self.ns = {"_T": TensorVal, "_CE": ConstraintError, "_arith": _arith, "_FAIL": _FAIL, "_CMP": _CMP, "_probes": _probes, "_vm": vm}
         self.lines = []
         self.pad = "    "
         self.n = 0
@@ -427,17 +433,21 @@ class _Lowering:
             for bound, code in ((e.lo, lo), (e.hi, hi)):
                 if not _int_typed(bound):
                     self.fail_if(f"not isinstance({code}, int)")
-            span = f"range({lo}, {hi})"
-            if _var_only_in_val_indices(e.body, e.var):
+            capped = not _var_only_in_val_indices(e.body, e.var)
+            if capped:
+                span = f"range({lo}, min({hi}, {lo} + _vm._STEP_CAP))"
+            else:
                 whole = (Var(e.var),)
                 params = self.const(tuple(a.param for a in nodes(e.body) if type(a) is Val and a.idxs == whole))
-                span = self.local(f"{span} if {hi} - {lo} <= 10000 else _probes(b, {lo}, {hi}, {params})")
+                span = self.local(f"range({lo}, {hi}) if {hi} - {lo} <= 10000 else _probes(b, {lo}, {hi}, {params})")
                 self.fail_if(f"{span} is None")
             v = self.name()
             self.emit(f"for {v} in {span}:")
             self.pad += "    "
             self.pred(e.body, {**scope, ("var", e.var): v})
             self.pad = self.pad[:-4]
+            if capped:  # a range the kernel could not walk within its step cap either
+                self.fail_if(f"{hi} - {lo} > _vm._STEP_CAP")
         elif t is Unliftable or (t is Lit and isinstance(e.value, bool)):
             # an opaque check cannot guide anything: assume it satisfiable
             self.emit("return False" if t is Lit and not e.value else "pass")
@@ -630,50 +640,33 @@ def _lex_error(message: str, line: int, col: int) -> ConstraintError:
     return ConstraintError(f"{message} in constraint text")
 
 
-class _ExprParser:
+class _ExprParser(Tokens):
     """Recursive-descent parser for the lifted grammar (golden-file syntax)."""
 
     ATOMS = ("ndim", "size", "dim", "val")
 
     def __init__(self, text: str, quant_vars=()):
-        self.toks = scan(text, _TOKENS, _CONVERT, _lex_error)
-        self.pos = 0
+        super().__init__(text, _TOKENS, _CONVERT, _lex_error)
         self.quant_vars = set(quant_vars)
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def eat(self, kind, value=None):
-        k, v, *_ = self.next()
-        if k != kind or (value is not None and v != value):
-            raise ConstraintError(f"expected {value or kind!r}, got {v!r}")
-        return v
-
-    def at_op(self, *ops):
-        k, v, *_ = self.peek()
-        return k == "op" and v in ops
+    def fail(self, message: str, tok=None):
+        raise ConstraintError(message)  # constraint text is one line: no position
 
     def parse_constraint(self):
-        k, v, *_ = self.peek()
-        if k == "ident" and v == "forall":
+        if self.at("ident", "forall"):
             return self.parse_forall()
         return self.parse_cmp()
 
     def parse_forall(self):
-        self.eat("ident", "forall")
-        var = self.eat("ident")
-        self.eat("ident", "in")
-        self.eat("op", "[")
+        self.expect("ident", "forall")
+        var = self.expect("ident")
+        self.expect("ident", "in")
+        self.expect("op", "[")
         lo = self.parse_arith()
-        self.eat("op", ",")
+        self.expect("op", ",")
         hi = self.parse_arith()
-        self.eat("op", ")")
-        self.eat("op", ":")
+        self.expect("op", ")")
+        self.expect("op", ":")
         self.quant_vars.add(var)
         body = self.parse_cmp()
         self.quant_vars.discard(var)
@@ -681,23 +674,20 @@ class _ExprParser:
 
     def parse_cmp(self):
         left = self.parse_arith()
-        k, v, *_ = self.peek()
-        if k == "op" and v in CMP_OPS:
-            self.next()
-            right = self.parse_arith()
-            return Cmp(v, left, right)
-        raise ConstraintError("constraint must be a comparison")
+        if not self.at("op", *CMP_OPS):
+            self.fail("constraint must be a comparison")
+        return Cmp(self.next()[1], left, self.parse_arith())
 
     def parse_arith(self):
         left = self.parse_term()
-        while self.at_op("+", "-"):
+        while self.at("op", "+", "-"):
             op = self.next()[1]
             left = Arith(op, left, self.parse_term())
         return left
 
     def parse_term(self):
         left = self.parse_factor()
-        while self.at_op("*", "/", "%"):
+        while self.at("op", "*", "/", "%"):
             op = self.next()[1]
             left = Arith(op, left, self.parse_factor())
         return left
@@ -722,42 +712,42 @@ class _ExprParser:
         if k == "op" and v == "(":
             self.next()
             e = self.parse_arith()
-            self.eat("op", ")")
+            self.expect("op", ")")
             return e
         if k == "ident":
             self.next()
-            if v in self.ATOMS and self.at_op("("):
+            if v in self.ATOMS and self.at("op", "("):
                 return self.parse_atom(v)
             if v in ("true", "false"):
                 return Lit(v == "true")
             if v in self.quant_vars:
                 return Var(v)
             return AttrRef(v)
-        raise ConstraintError(f"unexpected token {v!r} in constraint text")
+        self.fail(f"unexpected token {v!r} in constraint text")
 
     def parse_atom(self, kind):
-        self.eat("op", "(")
-        param = self.eat("ident")
+        self.expect("op", "(")
+        param = self.expect("ident")
         if kind in ("ndim", "size"):
-            self.eat("op", ")")
+            self.expect("op", ")")
             return Ndim(param) if kind == "ndim" else Size(param)
         if kind == "dim":
-            self.eat("op", ",")
+            self.expect("op", ",")
             axis = self.parse_arith()
-            self.eat("op", ")")
-            if not isinstance(axis, Lit) or not isinstance(axis.value, int):
-                raise ConstraintError("dim() axis must be an integer literal")
+            self.expect("op", ")")
+            if not isinstance(axis, Lit) or type(axis.value) is not int:
+                self.fail("dim() axis must be an integer literal")
             return Dim(param, axis.value)
         idxs = []
-        while self.at_op(","):
+        while self.at("op", ","):
             self.next()
             idxs.append(self.parse_arith())
-        self.eat("op", ")")
+        self.expect("op", ")")
         return Val(param, tuple(idxs))
 
     def finish(self, expr):
-        if self.peek()[0] != "eof":
-            raise ConstraintError(f"trailing tokens after constraint: {self.peek()[1]!r}")
+        if not self.at("eof"):
+            self.fail(f"trailing tokens after constraint: {self.peek()[1]!r}")
         return expr
 
 
@@ -784,13 +774,16 @@ def parse_tree(text: str, kernel_id: str = "") -> ConstraintTree:
             raise ConstraintError(f"line {lineno}: indentation skips a level")
         _, constraints, branches = stack[-1]
         body = raw.strip()
+        try:
+            expr = parse_constraint(body.removeprefix("branch:"))
+        except ConstraintError as e:
+            raise ConstraintError(f"line {lineno}: {e}") from None
         if body.startswith("branch:"):
-            guard = parse_constraint(body[len("branch:") :].strip())
-            node = LogicalNode(Constraint(guard))
+            node = LogicalNode(Constraint(expr))
             branches.append(node)
             stack.append((depth + 1, node.constraints, node.branches))
         else:
-            constraints.append(Constraint(parse_constraint(body)))
+            constraints.append(Constraint(expr))
     return tree
 
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .constraints import ConstraintTree, parse_tree
+from .constraints import ConstraintError, ConstraintTree, parse_tree
 from .extractor import extract_constraints
 from .kernel.ir import DType, KernelIR, ResourceRef, TensorVal
-from .kernel.parser import KernelParseError, line_col, parse_kernel, scan, token_pattern
+from .kernel.parser import KernelParseError, Tokens, parse_kernel, token_pattern
 from .registry import DescriptorError, OpSpec, Registry, build_registry, cluster_entities, parse_opspecs
 
 
@@ -84,7 +84,10 @@ class Corpus:
         path = self.root / "golden" / f"{op}.ctree"
         if not path.exists():
             return None
-        return parse_tree(path.read_text(), self.spec_for(op).kernel_id)
+        try:
+            return parse_tree(path.read_text(), self.spec_for(op).kernel_id)
+        except ConstraintError as e:
+            raise CorpusError(f"golden/{path.name}: {e}") from None
 
 
 # -- test script parsing --
@@ -102,54 +105,37 @@ def _script_error(message: str, line: int, col: int) -> CorpusError:
 
 def parse_test_script(text: str):
     """Returns (fixtures, sequences) declared by one script."""
-    toks = scan(text, _TOKENS, _CONVERT, _script_error)
-    pos = 0
-
-    def next_tok():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
-        return t
-
-    def fail(offset, message):
-        raise _script_error(message, *line_col(text, offset))
-
-    def expect(kind, value=None):
-        k, v, at = next_tok()
-        if k != kind or (value is not None and v != value):
-            fail(at, f"expected {value or kind!r}, got {v!r}")
-        return v
-
+    toks = Tokens(text, _TOKENS, _CONVERT, _script_error)
     fixtures = []
     sequences = []
-    while toks[pos][0] != "eof":
-        expect("ident", "test")
-        test_name = expect("str")
-        expect("punct", "{")
-        while not (toks[pos][0] == "punct" and toks[pos][1] == "}"):
-            k, v, at = next_tok()
-            if (k, v) == ("ident", "fixture"):
-                expect("ident", "file")
-                label = expect("str")
-                expect("ident", "bytes")
-                size = expect("int")
-                expect("ident", "fill")
-                fill = expect("int")
-                expect("punct", ";")
+    while not toks.at("eof"):
+        toks.expect("ident", "test")
+        test_name = toks.expect("str")
+        toks.expect("punct", "{")
+        while not toks.at("punct", "}"):
+            stmt = toks.next()
+            if stmt[:2] == ("ident", "fixture"):
+                toks.expect("ident", "file")
+                label = toks.expect("str")
+                toks.expect("ident", "bytes")
+                size = toks.expect("int")
+                toks.expect("ident", "fill")
+                fill = toks.expect("int")
+                toks.expect("punct", ";")
                 if not 0 <= fill <= 255:
-                    fail(at, "fill byte out of range")
+                    toks.fail("fill byte out of range", stmt)
                 fixtures.append(FixtureDecl(test_name, label, size, fill))
-            elif (k, v) == ("ident", "seq"):
+            elif stmt[:2] == ("ident", "seq"):
                 ops = []
-                while toks[pos][0] == "ident":
-                    ops.append(next_tok()[1])
-                expect("punct", ";")
+                while toks.at("ident"):
+                    ops.append(toks.next()[1])
+                toks.expect("punct", ";")
                 if len(ops) < 2:
-                    fail(at, "sequence needs at least two operators")
+                    toks.fail("sequence needs at least two operators", stmt)
                 sequences.append(SequenceDecl(test_name, tuple(ops)))
             else:
-                fail(at, f"unknown statement {v!r}")
-        expect("punct", "}")
+                toks.fail(f"unknown statement {stmt[1]!r}", stmt)
+        toks.next()
     return fixtures, sequences
 
 

@@ -63,7 +63,7 @@ from .constraints import (
     toposort_params,
     value_of,
 )
-from .kernel.ir import DType, INT64_MAX, INT64_MIN, ResourceRef, TensorVal
+from .kernel.ir import DType, INT64_MAX, INT64_MIN, ResourceRef, TensorVal, _product
 
 # value pools; order is fixed so campaigns are reproducible
 INT_SPECIALS = (0, 1, -1, 2, 7, 1048576, 2147483647, 2147483649, -2147483648)
@@ -694,10 +694,7 @@ class GuidedGenerator:
                 shape = self._fit_size(shape, hints, size_pins[0])
                 if shape is None:
                     continue
-            product = 1
-            for e in shape:
-                product *= e
-            if size.admits(product):
+            if size.admits(_product(shape)):
                 return tuple(shape)
         # honest fallback: a shape meeting the size pin if one exists
         if size_pins:
@@ -714,9 +711,7 @@ class GuidedGenerator:
         for axis, r in hints.dims.items():
             if axis < len(shape) and r.pins:
                 pinned[axis] = r.pins[0]
-        fixed = 1
-        for axis, v in pinned.items():
-            fixed *= v
+        fixed = _product(pinned.values())
         free = [a for a in range(len(shape)) if a not in pinned]
         if not free:
             return list(shape) if fixed == n else None
@@ -732,9 +727,7 @@ class GuidedGenerator:
         return out
 
     def _fill_elements(self, rng, p, shape: tuple, hints: _TensorHints) -> TensorVal:
-        size = 1
-        for e in shape:
-            size *= e
+        size = _product(shape)
         if p.is_file and self.control.fixture:
             label = self.control.fixture
             if 0 <= size <= DENSE_ELEMENT_LIMIT:
@@ -943,8 +936,5 @@ def generate_random(spec, rng) -> dict:
         else:
             rank = _below(getbits, 5)
             shape = tuple([_below(getbits, 9) for _ in range(rank)])
-            size = 1
-            for e in shape:
-                size *= e
-            binding[p.name] = TensorVal(p.dtype, shape, data=_random_elements(rng, p.dtype, size))
+            binding[p.name] = TensorVal(p.dtype, shape, data=_random_elements(rng, p.dtype, _product(shape)))
     return binding

@@ -14,6 +14,10 @@ Source form:
       call Push(Stack, h, x);
     }
 
+`scan` is the one scanner and `Tokens` the one cursor of all four input
+grammars: kernels here, operator descriptors (`registry`), test scripts
+(`corpus`) and constraint text (`constraints`).
+
 Lowering is mechanical: `require` becomes a conditional branch to a
 require_fail block, `if` a diamond, `for` a counted loop whose latch
 increments the counter slot in place.  Expressions are statically typed at
@@ -92,6 +96,41 @@ def scan(text: str, pattern: re.Pattern, convert: dict, error) -> list:
         tokens.append((kind, value, offset))
 
 
+class Tokens:
+    """A cursor over `scan(text, pattern, convert, error)`.  `fail` raises
+    `error` at a token's line and column; a missing token reads
+    `expected <value or kind>, got <token>`.  Only `fail` reads a token's
+    offset, so a subclass that overrides it may walk (kind, value) pairs."""
+
+    def __init__(self, text: str, pattern: re.Pattern, convert: dict, error):
+        self.text = text
+        self.error = error
+        self.toks = scan(text, pattern, convert, error)
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def at(self, kind: str, *values) -> bool:
+        t = self.toks[self.pos]
+        return t[0] == kind and (not values or t[1] in values)
+
+    def expect(self, kind: str, value=None):
+        t = self.next()
+        if t[0] != kind or (value is not None and t[1] != value):
+            self.fail(f"expected {value or kind!r}, got {t[1]!r}", t)
+        return t[1]
+
+    def fail(self, message: str, tok=None):
+        tok = tok or self.peek()
+        raise self.error(message, *line_col(self.text, tok[2]))
+
+
 _TOKENS = token_pattern(
     r'(?P<float>\d+\.\d+)|(?P<int>\d+)|(?P<str>"[^"\n]*")|(?P<ident>[A-Za-z_]\w*)'
     r"|(?P<punct>==|!=|<=|>=|\.\.|[{}()\[\]<>,;:=+\-*/%])"
@@ -104,14 +143,12 @@ def tokenize(source: str) -> list:
     return scan(source, _TOKENS, _CONVERT, KernelParseError)
 
 
-class _Lowerer:
+class _Lowerer(Tokens):
     """Single-pass parse + lowering.  Expressions evaluate into fresh value
     ids appended to the current block; statements shape the CFG."""
 
     def __init__(self, source: str):
-        self.source = source
-        self.toks = tokenize(source)
-        self.pos = 0
+        super().__init__(source, _TOKENS, _CONVERT, KernelParseError)
         self.blocks: list[Block] = []
         self.cur: Block | None = None
         self.next_val = 0
@@ -121,40 +158,6 @@ class _Lowerer:
         self.param_types: dict[str, str] = {}
         # lexical scopes of locals: name -> (value_id, type)
         self.scopes: list[dict[str, tuple[int, str]]] = []
-
-    # -- token plumbing --
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def error(self, msg: str, tok=None):
-        tok = tok or self.peek()
-        raise KernelParseError(msg, *line_col(self.source, tok[2]))
-
-    def expect_punct(self, p: str):
-        k, v, *_ = self.peek()
-        if k != "punct" or v != p:
-            self.error(f"expected {p!r}")
-        return self.next()
-
-    def expect_ident(self, word: str | None = None) -> str:
-        k, v, *_ = self.peek()
-        if k != "ident" or (word is not None and v != word):
-            self.error(f"expected {word or 'identifier'!r}")
-        return self.next()[1]
-
-    def at_punct(self, p: str) -> bool:
-        k, v, *_ = self.peek()
-        return k == "punct" and v == p
-
-    def at_ident(self, word: str) -> bool:
-        k, v, *_ = self.peek()
-        return k == "ident" and v == word
 
     # -- value/block plumbing --
 
@@ -185,32 +188,32 @@ class _Lowerer:
                 return scope[name]
         if name in self.param_ids:
             return self.param_ids[name], self.param_types[name]
-        self.error(f"use of undefined name {name!r}", tok)
+        self.fail(f"use of undefined name {name!r}", tok)
 
     def define_local(self, name: str, vid: int, type_: str, tok):
         if name in self.param_ids:
-            self.error(f"cannot reassign parameter {name!r}", tok)
+            self.fail(f"cannot reassign parameter {name!r}", tok)
         for scope in self.scopes:
             if name in scope:
-                self.error(f"{name!r} already assigned (locals are single-assignment)", tok)
+                self.fail(f"{name!r} already assigned (locals are single-assignment)", tok)
         self.scopes[-1][name] = (vid, type_)
 
     # -- declarations --
 
     def parse_kernel(self) -> KernelIR:
-        self.expect_ident("kernel")
-        kernel_id = self.expect_ident()
-        self.expect_punct("{")
-        while self.peek()[0] == "ident" and self.peek()[1] in ("input", "attr", "output"):
+        self.expect("ident", "kernel")
+        kernel_id = self.expect("ident")
+        self.expect("punct", "{")
+        while self.at("ident", "input", "attr", "output"):
             self.parse_decl()
         if not self.blocks:
             self.cur = self.new_block()
         self.prologue()
         self.scopes.append({})
         regions = self.parse_stmts(end="}")
-        self.expect_punct("}")
-        if self.peek()[0] != "eof":
-            self.error("trailing content after kernel body")
+        self.expect("punct", "}")
+        if not self.at("eof"):
+            self.fail("trailing content after kernel body")
         if self.cur.terminator is None:
             self.cur.terminator = ("ret",)
         self.check_terminators()
@@ -219,20 +222,20 @@ class _Lowerer:
     def parse_decl(self):
         kind = self.next()[1]
         name_tok = self.peek()
-        name = self.expect_ident()
-        self.expect_punct(":")
+        name = self.expect("ident")
+        self.expect("punct", ":")
         dtype, type_str, entity = self.parse_type()
-        self.expect_punct(";")
+        self.expect("punct", ";")
         if kind == "output":
             if any(o[0] == name for o in self.outputs):
-                self.error(f"duplicate output {name!r}", name_tok)
+                self.fail(f"duplicate output {name!r}", name_tok)
             self.outputs.append((name, dtype))
             return
         if name in self.param_ids:
-            self.error(f"duplicate parameter {name!r}", name_tok)
+            self.fail(f"duplicate parameter {name!r}", name_tok)
         if kind == "attr":
             if dtype not in _ATTR_TYPES.values():
-                self.error("attrs must have scalar type", name_tok)
+                self.fail("attrs must have scalar type", name_tok)
             decl = ParamDecl(name, "attr", dtype, "scalar")
         else:
             if dtype is DType.DT_RESOURCE:
@@ -240,29 +243,29 @@ class _Lowerer:
             elif dtype.is_tensor:
                 decl = ParamDecl(name, "input", dtype, "tensor")
             else:
-                self.error("inputs must be tensor or resource typed", name_tok)
+                self.fail("inputs must be tensor or resource typed", name_tok)
         self.params.append(decl)
         self.param_ids[name] = -1  # assigned in prologue
         self.param_types[name] = type_str
 
     def parse_type(self):
         tok = self.peek()
-        word = self.expect_ident()
+        word = self.expect("ident")
         if word == "tensor":
-            self.expect_punct("<")
-            elem = self.expect_ident()
-            self.expect_punct(">")
+            self.expect("punct", "<")
+            elem = self.expect("ident")
+            self.expect("punct", ">")
             if elem not in _TENSOR_ELEMS:
-                self.error(f"unknown tensor element type {elem!r}", tok)
+                self.fail(f"unknown tensor element type {elem!r}", tok)
             return _TENSOR_ELEMS[elem], f"tensor:{elem}", None
         if word == "resource":
-            self.expect_punct("<")
-            entity = self.expect_ident()
-            self.expect_punct(">")
+            self.expect("punct", "<")
+            entity = self.expect("ident")
+            self.expect("punct", ">")
             return DType.DT_RESOURCE, f"resource:{entity}", entity
         if word in _ATTR_TYPES:
             return _ATTR_TYPES[word], {"int": "int", "float": "float", "string": "str", "bool": "bool"}[word], None
-        self.error(f"unknown type {word!r}", tok)
+        self.fail(f"unknown type {word!r}", tok)
 
     def prologue(self):
         """Fetch every declared parameter up front; these are the taint seeds."""
@@ -280,9 +283,9 @@ class _Lowerer:
 
     def parse_stmts(self, end: str) -> list:
         regions = []
-        while not self.at_punct(end):
-            if self.peek()[0] == "eof":
-                self.error(f"expected {end!r} before end of input")
+        while not self.at("punct", end):
+            if self.at("eof"):
+                self.fail(f"expected {end!r} before end of input")
             regions.extend(self.parse_stmt())
         return regions
 
@@ -299,26 +302,26 @@ class _Lowerer:
             return []
         if k == "ident" and v == "call":
             self.parse_call_expr()
-            self.expect_punct(";")
+            self.expect("punct", ";")
             return []
         if k == "ident":
             self.parse_assignment()
             return []
-        self.error("expected a statement")
+        self.fail("expected a statement")
 
     def parse_require(self) -> RequireRegion:
         self.next()
         cond_tok = self.peek()
         conds = [(self.parse_expr(), cond_tok)]
-        self.expect_punct(",")
+        self.expect("punct", ",")
         msg_tok = self.peek()
         if msg_tok[0] != "str":
-            self.error("require needs a message string")
+            self.fail("require needs a message string")
         msg = self.next()[1]
-        self.expect_punct(";")
+        self.expect("punct", ";")
         cid, ctype = conds[0][0]
         if ctype != "bool":
-            self.error("require condition must be boolean", conds[0][1])
+            self.fail("require condition must be boolean", conds[0][1])
         src = self.cur
         fail = self.new_block()
         fail.terminator = ("require_fail", msg)
@@ -333,29 +336,29 @@ class _Lowerer:
         guard_tok = self.peek()
         gid, gtype = self.parse_expr()
         if gtype != "bool":
-            self.error("if condition must be boolean", guard_tok)
+            self.fail("if condition must be boolean", guard_tok)
         src = self.cur
         region = IfRegion(gid, src.bid)
         then_blk = self.new_block()
         region.then_block = then_blk.bid
         self.cur = then_blk
-        self.expect_punct("{")
+        self.expect("punct", "{")
         self.scopes.append({})
         region.then_regions = self.parse_stmts(end="}")
         self.scopes.pop()
-        self.expect_punct("}")
+        self.expect("punct", "}")
         then_end = self.cur
         else_end = None
-        if self.at_ident("else"):
+        if self.at("ident", "else"):
             self.next()
             else_blk = self.new_block()
             region.else_block = else_blk.bid
             self.cur = else_blk
-            self.expect_punct("{")
+            self.expect("punct", "{")
             self.scopes.append({})
             region.else_regions = self.parse_stmts(end="}")
             self.scopes.pop()
-            self.expect_punct("}")
+            self.expect("punct", "}")
             else_end = self.cur
         join = self.new_block()
         region.join_block = join.bid
@@ -370,17 +373,17 @@ class _Lowerer:
     def parse_for(self) -> LoopRegion:
         self.next()
         var_tok = self.peek()
-        var = self.expect_ident()
-        self.expect_ident("in")
+        var = self.expect("ident")
+        self.expect("ident", "in")
         lo_tok = self.peek()
         lo_id, lo_t = self.parse_expr()
-        self.expect_punct("..")
+        self.expect("punct", "..")
         hi_tok = self.peek()
         hi_id, hi_t = self.parse_expr()
         if lo_t != "int":
-            self.error("loop lower bound must be int", lo_tok)
+            self.fail("loop lower bound must be int", lo_tok)
         if hi_t != "int":
-            self.error("loop upper bound must be int", hi_tok)
+            self.fail("loop upper bound must be int", hi_tok)
         # counter slot: i = lo + 0; the latch re-binds the same id
         zero = self.emit_const(0)
         one = self.emit_const(1)
@@ -391,11 +394,11 @@ class _Lowerer:
         src.terminator = ("jmp", header.bid)
         body = self.new_block()
         self.cur = body
-        self.expect_punct("{")
+        self.expect("punct", "{")
         self.scopes.append({var: (var_id, "int")})
         body_regions = self.parse_stmts(end="}")
         self.scopes.pop()
-        self.expect_punct("}")
+        self.expect("punct", "}")
         last_body = self.cur
         last_body.instrs.append(Instruction("bin", var_id, ("+", var_id, one), {"loop_latch": True}))
         last_body.terminator = ("jmp", header.bid)
@@ -409,79 +412,78 @@ class _Lowerer:
     def parse_emit(self):
         self.next()
         name_tok = self.peek()
-        name = self.expect_ident()
+        name = self.expect("ident")
         if not any(o[0] == name for o in self.outputs):
-            self.error(f"emit target {name!r} is not a declared output", name_tok)
-        self.expect_punct("=")
+            self.fail(f"emit target {name!r} is not a declared output", name_tok)
+        self.expect("punct", "=")
         vid, _ = self.parse_expr()
-        self.expect_punct(";")
+        self.expect("punct", ";")
         self.append("emit", None, (name, vid))
 
     def parse_assignment(self):
         name_tok = self.peek()
-        name = self.expect_ident()
-        if self.at_punct("["):
+        name = self.expect("ident")
+        if self.at("punct", "["):
             # tensor store: name[indices] = expr;
             base_id, base_t = self.lookup(name, name_tok)
             if not base_t.startswith("tensor:"):
-                self.error(f"cannot index non-tensor {name!r}", name_tok)
+                self.fail(f"cannot index non-tensor {name!r}", name_tok)
             idx_ids = self.parse_index_list()
-            self.expect_punct("=")
+            self.expect("punct", "=")
             val_tok = self.peek()
             vid, vt = self.parse_expr()
             elem_t = {"i64": "int", "f32": "float", "str": "str", "bool": "bool"}[base_t.split(":")[1]]
             if vt != elem_t:
-                self.error(f"stored value must be {elem_t}, got {vt}", val_tok)
-            self.expect_punct(";")
+                self.fail(f"stored value must be {elem_t}, got {vt}", val_tok)
+            self.expect("punct", ";")
             self.append("tstore", None, (base_id, tuple(idx_ids), vid))
             return
-        self.expect_punct("=")
+        self.expect("punct", "=")
         vid, vt = self.parse_expr()
-        self.expect_punct(";")
+        self.expect("punct", ";")
         self.define_local(name, vid, vt, name_tok)
 
     def parse_index_list(self) -> list[int]:
-        self.expect_punct("[")
+        self.expect("punct", "[")
         ids = []
-        if not self.at_punct("]"):
+        if not self.at("punct", "]"):
             while True:
                 tok = self.peek()
                 vid, vt = self.parse_expr()
                 if vt != "int":
-                    self.error("tensor indices must be int", tok)
+                    self.fail("tensor indices must be int", tok)
                 ids.append(vid)
-                if self.at_punct(","):
-                    self.next()
-                    continue
-                break
-        self.expect_punct("]")
+                if not self.at("punct", ","):
+                    break
+                self.next()
+        self.expect("punct", "]")
         return ids
 
     def parse_call_expr(self) -> tuple[int, str]:
-        self.expect_ident("call")
+        self.expect("ident", "call")
         verb_tok = self.peek()
-        verb = self.expect_ident()
+        verb = self.expect("ident")
         if verb not in RESOURCE_VERBS:
-            self.error(f"unknown resource verb {verb!r}", verb_tok)
-        self.expect_punct("(")
-        entity = self.expect_ident()
+            self.fail(f"unknown resource verb {verb!r}", verb_tok)
+        self.expect("punct", "(")
+        entity = self.expect("ident")
         arg_ids = []
         first_is_handle = True
-        while self.at_punct(","):
+        while self.at("punct", ","):
             self.next()
             tok = self.peek()
             vid, vt = self.parse_expr()
             if first_is_handle:
                 if vt != f"resource:{entity}":
-                    self.error(f"first argument of {verb} must be a resource<{entity}> handle", tok)
+                    self.fail(f"first argument of {verb} must be a resource<{entity}> handle", tok)
                 first_is_handle = False
             arg_ids.append(vid)
-        self.expect_punct(")")
+        self.expect("punct", ")")
         if verb == "New":
             if arg_ids:
-                self.error("New takes no handle argument", verb_tok)
+                self.fail("New takes no handle argument", verb_tok)
         elif not arg_ids:
-            self.error(f"{verb} needs a handle argument", verb_tok)
+            self.fail(f"{verb} needs a handle argument", verb_tok)
         dst = self.new_val()
         self.append("res_call", dst, (verb, entity, tuple(arg_ids)))
         rtype = {"New": f"resource:{entity}", "Pop": "opaque"}.get(verb, "int")
@@ -494,7 +496,7 @@ class _Lowerer:
 
     def parse_or(self):
         left = self.parse_and()
-        while self.at_ident("or"):
+        while self.at("ident", "or"):
             tok = self.next()
             right = self.parse_and()
             left = self._logic("or", left, right, tok)
@@ -502,7 +504,7 @@ class _Lowerer:
 
     def parse_and(self):
         left = self.parse_not()
-        while self.at_ident("and"):
+        while self.at("ident", "and"):
             tok = self.next()
             right = self.parse_not()
             left = self._logic("and", left, right, tok)
@@ -510,17 +512,17 @@ class _Lowerer:
 
     def _logic(self, op, left, right, tok):
         if left[1] != "bool" or right[1] != "bool":
-            self.error(f"{op} needs boolean operands", tok)
+            self.fail(f"{op} needs boolean operands", tok)
         dst = self.new_val()
         self.append("logic", dst, (op, left[0], right[0]))
         return dst, "bool"
 
     def parse_not(self):
-        if self.at_ident("not"):
+        if self.at("ident", "not"):
             tok = self.next()
             inner = self.parse_not()
             if inner[1] != "bool":
-                self.error("not needs a boolean operand", tok)
+                self.fail("not needs a boolean operand", tok)
             dst = self.new_val()
             self.append("logic", dst, ("not", inner[0], None))
             return dst, "bool"
@@ -528,17 +530,17 @@ class _Lowerer:
 
     def parse_cmp(self):
         left = self.parse_add()
-        k, v, *_ = self.peek()
-        if k == "punct" and v in ("==", "!=", "<", "<=", ">", ">="):
+        if self.at("punct", "==", "!=", "<", "<=", ">", ">="):
             tok = self.next()
+            v = tok[1]
             right = self.parse_add()
             lt, rt = left[1], right[1]
             if lt != rt:
-                self.error(f"cannot compare {lt} with {rt}", tok)
+                self.fail(f"cannot compare {lt} with {rt}", tok)
             if lt not in ("int", "float", "str", "bool"):
-                self.error(f"cannot compare values of type {lt}", tok)
+                self.fail(f"cannot compare values of type {lt}", tok)
             if v not in ("==", "!=") and lt in ("str", "bool"):
-                self.error(f"ordering comparison not defined for {lt}", tok)
+                self.fail(f"ordering comparison not defined for {lt}", tok)
             dst = self.new_val()
             self.append("cmp", dst, (v, left[0], right[0]))
             return dst, "bool"
@@ -546,40 +548,32 @@ class _Lowerer:
 
     def parse_add(self):
         left = self.parse_mul()
-        while True:
-            k, v, *_ = self.peek()
-            if k == "punct" and v in ("+", "-"):
-                tok = self.next()
-                right = self.parse_mul()
-                left = self._arith(v, left, right, tok)
-                continue
-            return left
+        while self.at("punct", "+", "-"):
+            tok = self.next()
+            left = self._arith(tok[1], left, self.parse_mul(), tok)
+        return left
 
     def parse_mul(self):
         left = self.parse_unary()
-        while True:
-            k, v, *_ = self.peek()
-            if k == "punct" and v in ("*", "/", "%"):
-                tok = self.next()
-                right = self.parse_unary()
-                left = self._arith(v, left, right, tok)
-                continue
-            return left
+        while self.at("punct", "*", "/", "%"):
+            tok = self.next()
+            left = self._arith(tok[1], left, self.parse_unary(), tok)
+        return left
 
     def _arith(self, op, left, right, tok):
         lt, rt = left[1], right[1]
         if lt != rt or lt not in ("int", "float"):
-            self.error(f"arithmetic needs matching numeric operands, got {lt} and {rt}", tok)
+            self.fail(f"arithmetic needs matching numeric operands, got {lt} and {rt}", tok)
         dst = self.new_val()
         self.append("bin", dst, (op, left[0], right[0]))
         return dst, lt
 
     def parse_unary(self):
-        if self.at_punct("-"):
+        if self.at("punct", "-"):
             tok = self.next()
             inner = self.parse_unary()
             if inner[1] not in ("int", "float"):
-                self.error("unary minus needs a numeric operand", tok)
+                self.fail("unary minus needs a numeric operand", tok)
             zero = self.emit_const(0 if inner[1] == "int" else 0.0)
             dst = self.new_val()
             self.append("bin", dst, ("-", zero, inner[0]))
@@ -600,10 +594,10 @@ class _Lowerer:
         if k == "punct" and v == "(":
             self.next()
             inner = self.parse_expr()
-            self.expect_punct(")")
+            self.expect("punct", ")")
             return inner
         if k != "ident":
-            self.error("expected an expression")
+            self.fail("expected an expression")
         if v in ("true", "false"):
             self.next()
             return self.emit_const(v == "true"), "bool"
@@ -613,9 +607,9 @@ class _Lowerer:
             return self.parse_shape_fn()
         tok = self.next()
         vid, vt = self.lookup(v, tok)
-        if self.at_punct("["):
+        if self.at("punct", "["):
             if not vt.startswith("tensor:"):
-                self.error(f"cannot index value of type {vt}", tok)
+                self.fail(f"cannot index value of type {vt}", tok)
             idx_ids = self.parse_index_list()
             dst = self.new_val()
             self.append("tload", dst, (vid, tuple(idx_ids)))
@@ -626,22 +620,22 @@ class _Lowerer:
     def parse_shape_fn(self):
         fn_tok = self.peek()
         fn = self.next()[1]
-        self.expect_punct("(")
+        self.expect("punct", "(")
         arg_tok = self.peek()
         vid, vt = self.parse_expr()
         if not vt.startswith("tensor:"):
-            self.error(f"{fn}() needs a tensor argument", arg_tok)
+            self.fail(f"{fn}() needs a tensor argument", arg_tok)
         if fn == "dim":
-            self.expect_punct(",")
+            self.expect("punct", ",")
             axis_tok = self.peek()
             axis_id, axis_t = self.parse_expr()
             if axis_t != "int":
-                self.error("dim() axis must be int", axis_tok)
-            self.expect_punct(")")
+                self.fail("dim() axis must be int", axis_tok)
+            self.expect("punct", ")")
             dst = self.new_val()
             self.append("dim", dst, (vid, axis_id))
             return dst, "int"
-        self.expect_punct(")")
+        self.expect("punct", ")")
         dst = self.new_val()
         self.append(fn, dst, (vid,))
         return dst, "int"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .kernel.ir import DType, ParamDecl
-from .kernel.parser import line_col, scan, token_pattern
+from .kernel.parser import Tokens, token_pattern
 
 log = logging.getLogger(__name__)
 
@@ -85,64 +85,31 @@ _TOKENS = token_pattern(r'(?P<str>"[^"\n]*")|(?P<ident>[A-Za-z_]\w*)|(?P<punct>[
 _CONVERT = {"str": lambda s: s[1:-1]}
 
 
-class _Parser:
+class _Parser(Tokens):
     def __init__(self, text: str):
-        self.text = text
-        self.toks = scan(text, _TOKENS, _CONVERT, DescriptorError)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise DescriptorError(message, *line_col(self.text, tok[2]))
-
-    def expect_punct(self, p):
-        t = self.next()
-        if t[0] != "punct" or t[1] != p:
-            self.error(f"expected {p!r}, got {t[1]!r}", t)
-        return t
-
-    def expect_ident(self):
-        t = self.next()
-        if t[0] != "ident":
-            self.error(f"expected identifier, got {t[1]!r}", t)
-        return t
-
-    def expect_str(self):
-        t = self.next()
-        if t[0] != "str":
-            self.error(f"expected quoted string, got {t[1]!r}", t)
-        return t
+        super().__init__(text, _TOKENS, _CONVERT, DescriptorError)
 
     def field_str(self):
-        self.expect_punct(":")
-        return self.expect_str()[1]
+        self.expect("punct", ":")
+        return self.expect("str")
 
     def field_bool(self):
-        self.expect_punct(":")
-        t = self.expect_ident()
-        if t[1] not in ("true", "false"):
-            self.error("expected true or false", t)
+        self.expect("punct", ":")
+        t = self.peek()
+        if self.expect("ident") not in ("true", "false"):
+            self.fail("expected true or false", t)
         return t[1] == "true"
 
     def parse(self) -> list[OpSpec]:
         specs = []
-        while self.peek()[0] != "eof":
-            t = self.expect_ident()
-            if t[1] != "op":
-                self.error(f"expected 'op', got {t[1]!r}", t)
-            specs.append(self.parse_op(t))
+        while not self.at("eof"):
+            op_tok = self.peek()
+            self.expect("ident", "op")
+            specs.append(self.parse_op(op_tok))
         return specs
 
     def parse_op(self, op_tok) -> OpSpec:
-        self.expect_punct("{")
+        self.expect("punct", "{")
         name = None
         module = None
         aliases = []
@@ -150,13 +117,9 @@ class _Parser:
         skip = False
         params: list[ParamDecl] = []
         outputs: list[OutputDecl] = []
-        while True:
-            t = self.peek()
-            if t[0] == "punct" and t[1] == "}":
-                self.next()
-                break
-            f = self.expect_ident()
-            key = f[1]
+        while not self.at("punct", "}"):
+            f = self.peek()
+            key = self.expect("ident")
             if key == "name":
                 name = self.field_str()
             elif key == "module":
@@ -174,81 +137,77 @@ class _Parser:
             elif key == "output_arg":
                 outputs.append(self.parse_output(f))
             else:
-                self.error(f"unknown field {key!r}", f)
+                self.fail(f"unknown field {key!r}", f)
+        self.next()
         if name is None:
-            self.error("op block missing name", op_tok)
+            self.fail("op block missing name", op_tok)
         if module is None:
-            self.error(f"op {name!r} missing module", op_tok)
+            self.fail(f"op {name!r} missing module", op_tok)
         seen = set()
         for p in params:
             if p.name in seen:
-                self.error(f"op {name!r}: duplicate param name {p.name!r}", op_tok)
+                self.fail(f"op {name!r}: duplicate param name {p.name!r}", op_tok)
             seen.add(p.name)
         return OpSpec(name, module, tuple(aliases), tuple(params), tuple(outputs), kernel, skip)
 
     def parse_arg_fields(self, role: str):
-        self.expect_punct("{")
+        self.expect("punct", "{")
         name = None
         dtype_tok = None
         entity = None
         is_file = False
-        while True:
-            t = self.peek()
-            if t[0] == "punct" and t[1] == "}":
-                self.next()
-                break
-            f = self.expect_ident()
-            key = f[1]
+        while not self.at("punct", "}"):
+            f = self.peek()
+            key = self.expect("ident")
             if key == "name":
                 name = self.field_str()
             elif key == "type":
-                self.expect_punct(":")
-                if role == "attr":
-                    dtype_tok = self.expect_str()
-                else:
-                    dtype_tok = self.expect_ident()
+                self.expect("punct", ":")
+                dtype_tok = self.peek()
+                self.expect("str" if role == "attr" else "ident")
             elif key == "entity":
                 entity = self.field_str()
             elif key == "file":
                 is_file = self.field_bool()
             else:
-                self.error(f"unknown arg field {key!r}", f)
+                self.fail(f"unknown arg field {key!r}", f)
         if name is None or dtype_tok is None:
-            self.error("arg block needs name and type", t)
+            self.fail("arg block needs name and type")
+        self.next()
         return name, dtype_tok, entity, is_file
 
     def parse_arg(self, f, role: str) -> ParamDecl:
         name, dtype_tok, entity, is_file = self.parse_arg_fields(role)
         if role == "attr":
             if dtype_tok[1] not in ATTR_TAGS:
-                self.error(f"unknown attr type {dtype_tok[1]!r}", dtype_tok)
+                self.fail(f"unknown attr type {dtype_tok[1]!r}", dtype_tok)
             if entity is not None or is_file:
-                self.error("attrs are plain scalars", dtype_tok)
+                self.fail("attrs are plain scalars", dtype_tok)
             return ParamDecl(name, "attr", ATTR_TAGS[dtype_tok[1]], "scalar")
         if dtype_tok[1] not in TENSOR_TAGS:
-            self.error(f"unknown dtype tag {dtype_tok[1]!r}", dtype_tok)
+            self.fail(f"unknown dtype tag {dtype_tok[1]!r}", dtype_tok)
         dtype = TENSOR_TAGS[dtype_tok[1]]
         if dtype is DType.DT_RESOURCE:
             if entity is None:
-                self.error(f"resource input {name!r} needs an entity kind", dtype_tok)
+                self.fail(f"resource input {name!r} needs an entity kind", dtype_tok)
             return ParamDecl(name, "input", dtype, "resource", entity=entity)
         if entity is not None:
-            self.error(f"entity is only valid on resource inputs, not {name!r}", dtype_tok)
+            self.fail(f"entity is only valid on resource inputs, not {name!r}", dtype_tok)
         if is_file:
             if dtype is not DType.DT_STRING:
-                self.error(f"file-path input {name!r} must be DT_STRING", dtype_tok)
+                self.fail(f"file-path input {name!r} must be DT_STRING", dtype_tok)
             return ParamDecl(name, "input", dtype, "file-path", is_file=True)
         return ParamDecl(name, "input", dtype, "tensor")
 
     def parse_output(self, f) -> OutputDecl:
         name, dtype_tok, entity, is_file = self.parse_arg_fields("output")
         if dtype_tok[1] not in TENSOR_TAGS:
-            self.error(f"unknown dtype tag {dtype_tok[1]!r}", dtype_tok)
+            self.fail(f"unknown dtype tag {dtype_tok[1]!r}", dtype_tok)
         dtype = TENSOR_TAGS[dtype_tok[1]]
         if dtype is DType.DT_RESOURCE and entity is None:
-            self.error(f"resource output {name!r} needs an entity kind", dtype_tok)
+            self.fail(f"resource output {name!r} needs an entity kind", dtype_tok)
         if dtype is not DType.DT_RESOURCE and entity is not None:
-            self.error(f"entity is only valid on resource outputs, not {name!r}", dtype_tok)
+            self.fail(f"entity is only valid on resource outputs, not {name!r}", dtype_tok)
         return OutputDecl(name, dtype, entity)
 
 

@@ -70,6 +70,7 @@ from opfuzz.kernel.ir import (
     TensorVal,
     ValidationReject,
 )
+from opfuzz.kernel import vm
 from opfuzz.kernel.parser import KernelParseError
 from opfuzz.registry import DescriptorError
 
@@ -1031,10 +1032,18 @@ def _ref_eval_bool(expr, binding: dict, env: dict) -> bool:
         hi = _eval_value(expr.hi, binding, env)
         if not isinstance(lo, int) or not isinstance(hi, int):
             raise _EvalFail()
-        indices = range(lo, hi)
-        if hi - lo > 10_000 and ref_var_only_in_val_indices(expr.body, expr.var):
-            indices = _ref_uniform_indices(expr, lo, hi, binding)
-        return all(_ref_eval_bool(expr.body, binding, {**env, expr.var: v}) for v in indices)
+        if ref_var_only_in_val_indices(expr.body, expr.var):
+            indices = range(lo, hi) if hi - lo <= 10_000 else _ref_uniform_indices(expr, lo, hi, binding)
+            return all(_ref_eval_bool(expr.body, binding, {**env, expr.var: v}) for v in indices)
+        # any other range: one step per index, false once the kernel's step cap is spent
+        steps = 0
+        for v in range(lo, hi):
+            if steps == vm._STEP_CAP:
+                return False
+            steps += 1
+            if not _ref_eval_bool(expr.body, binding, {**env, expr.var: v}):
+                return False
+        return True
     raise ConstraintError(f"cannot evaluate {type(expr).__name__} as a predicate")
 
 
@@ -1354,7 +1363,7 @@ class RefExprParser(_ExprParser):
         self.quant_vars = set()
 
     def parse_factor(self):
-        if self.at_op("-"):
+        if self.at("op", "-"):
             self.next()
             return _fold(Arith("-", Lit(0), self.parse_factor()))
         return super().parse_factor()

@@ -94,6 +94,17 @@ def test_golden_check_flags_a_doctored_golden(capsys, tmp_path):
     assert "OK   Bincount" in out
 
 
+def test_golden_check_names_a_malformed_golden_line(capsys, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(BUNDLED, root)
+    golden = root / "golden" / "ArgMax.ctree"
+    lines = golden.read_text().splitlines()
+    golden.write_text("\n".join(lines + ["ndim(x) == == 1"]) + "\n")
+    code, _, err = run_cli(capsys, "--corpus", str(root), "extract", "--golden-check")
+    assert code == 2
+    assert err == f"error: golden/ArgMax.ctree: line {len(lines) + 1}: unexpected token '==' in constraint text\n"
+
+
 # --------------------------------------------------------------- templates
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from opfuzz.constraints import (
     toposort_params,
     tree_equal,
 )
+from opfuzz.kernel import vm
 from opfuzz.kernel.ir import INT64_MAX, INT64_MIN, DType, ParamDecl, ResourceRef, TensorVal
 from test_expr_core import _EXPRS, _cmp, _values
 
@@ -141,6 +143,15 @@ def test_forall_bounds_short_circuit():
         Cmp(">", Val("x", (Var("i"),)), Lit(0)),
     )
     assert evaluate(bad_hi, {"x": VEC}) is False
+
+
+def test_forall_past_the_step_cap_is_false(monkeypatch):
+    # a range the kernel's own loop cannot walk within its step cap
+    monkeypatch.setattr(vm, "_STEP_CAP", 1000)
+    expr = Forall("i", Lit(0), AttrRef("m"), Cmp("<=", Var("i"), AttrRef("m")))
+    for m, want in ((INT64_MAX, False), (1001, False), (1000, True)):
+        assert evaluate(expr, {"m": m}) is want
+        assert reference_evaluate(expr, {"m": m}) is want
 
 
 # -- tree evaluation --
@@ -253,7 +264,7 @@ def test_tree_equal_detects_differences(corpus):
     assert not tree_equal(tree, mutated)
 
 
-@pytest.mark.parametrize("text", ["ndim(x) ==", 'val(x) == "abc', "val(x) == 1.2.3"])
+@pytest.mark.parametrize("text", ["ndim(x) ==", 'val(x) == "abc', "val(x) == 1.2.3", "dim(x, true) == 1"])
 def test_parse_rejects_garbage(text):
     with pytest.raises(ConstraintError):
         parse_constraint(text)
@@ -488,10 +499,11 @@ def _verdict(fn, expr, binding):
 @given(expr=_DIFF_EXPRS, binding=_MIXED_BINDINGS)
 @settings(max_examples=1500, deadline=None)
 def test_compiled_predicates_match_the_ast_interpreter(expr, binding):
-    want = _verdict(reference_evaluate, expr, binding)
-    assert want[:2] != ("raise", "TypeError")
-    assert _verdict(evaluate, expr, binding) == want
-    assert _verdict(evaluate, expr, binding) == want  # the cached function too
+    with mock.patch.object(vm, "_STEP_CAP", 100_000):  # the reference walks a million steps a second
+        want = _verdict(reference_evaluate, expr, binding)
+        assert want[:2] != ("raise", "TypeError")
+        assert _verdict(evaluate, expr, binding) == want
+        assert _verdict(evaluate, expr, binding) == want  # the cached function too
 
 
 @pytest.mark.parametrize(

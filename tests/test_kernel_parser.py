@@ -1,9 +1,13 @@
-"""Kernel source lowering: block structure, regions, and value definitions."""
+"""Kernel source lowering: block structure, regions, and value definitions;
+the missing-token message all four grammars share."""
 
 import pytest
 
+from opfuzz.constraints import ConstraintError, parse_constraint
+from opfuzz.corpus import CorpusError, parse_test_script
 from opfuzz.kernel.ir import LoopRegion, RequireRegion
 from opfuzz.kernel.parser import KernelParseError, def_map, parse_kernel
+from opfuzz.registry import DescriptorError, parse_opspecs
 
 
 def test_block_counts_match_manifest(corpus, manifest):
@@ -103,7 +107,7 @@ def test_params_and_outputs_lowered():
         ("kernel K { input x : tensor<i9>; }", "i9"),
         ("kernel K { require y > 0, \"m\"; }", "y"),
         ("kernel K { input x : tensor<i64> }", ";"),
-        ("kernel K { input x : tensor<i64>; emit }", "identifier"),
+        ("kernel K { input x : tensor<i64>; emit }", "expected 'ident', got '}'"),
         ("kernel K { input x : tensor<i64>; x = 1; }", "x"),
         ('kernel K { require 1 > 0, "m; }', "unterminated string"),
         ("kernel K { ~ }", "unexpected character '~'"),
@@ -112,6 +116,21 @@ def test_params_and_outputs_lowered():
 def test_parse_errors(source, fragment):
     with pytest.raises(KernelParseError, match=fragment):
         parse_kernel(source)
+
+
+@pytest.mark.parametrize(
+    "parse,text,error,message",
+    [
+        (parse_kernel, "kernel K {\n  input x : tensor<i64>;\n  emit }", KernelParseError, "3:8: expected 'ident', got '}'"),
+        (parse_opspecs, 'op {\n  : "A" }', DescriptorError, "expected 'ident', got ':' at line 2, col 3"),
+        (parse_test_script, 'test "T" {\n  seq A B }', CorpusError, "test script line 2: expected ';', got '}'"),
+        (parse_constraint, "ndim() == 1", ConstraintError, "expected 'ident', got ')'"),
+    ],
+)
+def test_every_grammar_reports_a_missing_token_alike(parse, text, error, message):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_error_carries_position():
