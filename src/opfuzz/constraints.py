@@ -21,8 +21,9 @@ C-style `/` and `%`, IEEE floats) and comparison is the VM's `_CMP` table.
 The evaluator keeps its own operand rule in front of them, in `_arith`: a
 bool or a non-number operand makes the constraint false, where the VM
 raises `EngineError`; an int mixed with a float is promoted to floats, as
-Python's mixed arithmetic does, where the VM raises too; and an overflow or
-a zero divisor, a crash in the VM, makes the constraint false.  A str
+Python's mixed arithmetic does, where the VM raises too, and an int too
+large for a float makes the constraint false; and an overflow or a zero
+divisor, a crash in the VM, makes the constraint false.  A str
 equals only a str, and only numbers (bools among them) are ordered: an
 ordering with any other operand is false.
 
@@ -273,11 +274,11 @@ def _arith(op: str, a, b):
     """The evaluator's operand rule in front of the VM's arithmetic."""
     if isinstance(a, bool) or isinstance(b, bool) or not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
         return _FAIL
-    if isinstance(a, float) is not isinstance(b, float):
-        a, b = float(a), float(b)
     try:
+        if isinstance(a, float) is not isinstance(b, float):
+            a, b = float(a), float(b)
         return _bin_op(op, a, b)
-    except _CrashSignal:  # IOF or FPE
+    except (_CrashSignal, OverflowError):  # IOF or FPE, or an int too large for a float
         return _FAIL
 
 

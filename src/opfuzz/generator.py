@@ -14,28 +14,31 @@ keeps the active constraints; per (param, names already bound) it keeps
 the constraints that resolve for the param and the bound atoms their
 residuals fold to literals; and per plan a memo maps those atoms' values
 to the hints read from the residuals, whose candidate pools are cached in
-turn.  A draw then only reads atoms, consumes the rng and tests
-candidates, in the same order as without plans, so reports do not change.
-Atoms are read through `constraints.value_of` and candidates tested
-through `constraints.evaluate`, the compiled forms of one lowering.
-Repair's first pass skips the constraints a param's solve already saw
-hold.  Each pick from a pool, and each resource state, is drawn with
-`_below(getrandbits, n)`, which gives `randrange(n)`'s value for the same
-rng consumption, without its per-call checks.
+turn by the one memo `_cached_pool`.  A scalar attr draws from the element
+pool of its `DType.element`.  A draw then only reads atoms, consumes the
+rng and tests candidates, in the same order as without plans, so reports
+do not change.  Atoms are read through `constraints.value_of` and
+candidates tested through `constraints.evaluate`, the compiled forms of
+one lowering.  Repair's first pass skips the constraints a param's solve
+already saw hold.  Each pick from a pool, and each resource state, is
+drawn with `_below(getrandbits, n)`, which gives `randrange(n)`'s value
+for the same rng consumption, without its per-call checks.
 
 The random baseline draws straight from the rng's `getrandbits` and
-`random`, one list comprehension per tensor dtype, without the stdlib's
-per-call argument checks.  Its contract: the same values and the same rng
-consumption, in the same order, as drawing each rank, extent, state and
-length with `randrange`, each int with `randint(INT64_MIN, INT64_MAX)` and
-each float with `uniform(-1e18, 1e18)` on a `random.Random`.  A test pins
-this against a reference that makes those stdlib calls.
+`random`, one list comprehension per element dtype (an attr's is its
+`DType.element`), without the stdlib's per-call argument checks.  Its
+contract: the same values and the same rng consumption, in the same order,
+as drawing each rank, extent, state and length with `randrange`, each int
+with `randint(INT64_MIN, INT64_MAX)` and each float with
+`uniform(-1e18, 1e18)` on a `random.Random`.  A test pins this against a
+reference that makes those stdlib calls.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .constraints import (
     ATOM_TYPES,
@@ -291,46 +294,9 @@ class _TensorHints:
     def dim(self, axis: int) -> _Range:
         return self.dims.setdefault(axis, _Range())
 
-    def rank_pool(self, ndim_referenced: bool) -> list:
-        """Ranks to draw from; a single entry is taken without the rng."""
-        key = ("rank", ndim_referenced)
-        pool = self.pools.get(key)
-        if pool is None:
-            pool = self.pools[key] = self._rank_pool(ndim_referenced)
-        return pool
-
-    def _rank_pool(self, ndim_referenced: bool) -> list:
-        r = self.rank
-        # dim(p, k) references only evaluate when rank > k
-        floor = 0 if self.max_dim_axis is None else self.max_dim_axis + 1
-        pins = [v for v in r.pins if r.admits(v) and 0 <= v <= 6]
-        if pins:
-            return pins
-        if len(self.val_arities) == 1:
-            arity = next(iter(self.val_arities))
-            if r.admits(arity) and arity >= floor:
-                return [arity]
-        base = (1, 2) if ndim_referenced else (0, 1, 2)
-        pool = [v for v in base if r.admits(v) and v >= floor]
-        return pool or [v for v in range(floor, 7) if r.admits(v)] or [max(floor, 1)]
-
+    @cached_property
     def size_pins(self) -> list:
-        pins = self.pools.get("size_pins")
-        if pins is None:
-            pins = self.pools["size_pins"] = [v for v in self.size.pins if self.size.admits(v)]
-        return pins
-
-    def axis_pool(self, axis: int) -> list:
-        """Extents to draw for one axis of a shape."""
-        key = ("axis", axis)
-        pool = self.pools.get(key)
-        if pool is None:
-            pool = _int_candidates(self.dims.get(axis, _Range()), EXTENT_SPECIALS)
-            pool = [v for v in pool if v >= 0] or [1]
-            if self.size.lo >= 1 or self.size_pins() or self.elems.pins or self.at_index:
-                pool = [v for v in pool if v > 0] or pool
-            self.pools[key] = pool
-        return pool
+        return [v for v in self.size.pins if self.size.admits(v)]
 
 
 def _hint_cmp(hints: _TensorHints, scalar: _Range, op: str, left, right, keep: str):
@@ -419,12 +385,14 @@ def _string_literals(tree: ConstraintTree) -> list:
 
 
 def _cached_pool(build):
-    """Cache `build(range, key, ...)` in `range.pools` under `key`."""
+    """Cache `build(owner, key, ...)` in `owner.pools` under `(build, key)`:
+    a bare key would let rank pool `True` answer for axis pool `1`."""
 
-    def cached(rng_range: _Range, key, *rest) -> list:
-        pool = rng_range.pools.get(key)
+    def cached(owner, key, *rest) -> list:
+        memo_key = (build, key)
+        pool = owner.pools.get(memo_key)
         if pool is None:
-            pool = rng_range.pools[key] = build(rng_range, key, *rest)
+            pool = owner.pools[memo_key] = build(owner, key, *rest)
         return pool
 
     return cached
@@ -447,6 +415,34 @@ def _int_candidates(rng_range: _Range, specials) -> list:
         top = int(hi) if hi != _INF else base + WINDOW - 1
         window = [v for v in range(base, min(base + WINDOW, top + 1)) if rng_range.admits(v)]
         pool = window or ([int(lo)] if lo != -_INF else [0])
+    return pool
+
+
+@_cached_pool
+def _rank_pool(hints: _TensorHints, ndim_referenced: bool) -> list:
+    """Ranks to draw from; a single entry is taken without the rng."""
+    r = hints.rank
+    # dim(p, k) references only evaluate when rank > k
+    floor = 0 if hints.max_dim_axis is None else hints.max_dim_axis + 1
+    pins = [v for v in r.pins if r.admits(v) and 0 <= v <= 6]
+    if pins:
+        return pins
+    if len(hints.val_arities) == 1:
+        arity = next(iter(hints.val_arities))
+        if r.admits(arity) and arity >= floor:
+            return [arity]
+    base = (1, 2) if ndim_referenced else (0, 1, 2)
+    pool = [v for v in base if r.admits(v) and v >= floor]
+    return pool or [v for v in range(floor, 7) if r.admits(v)] or [max(floor, 1)]
+
+
+@_cached_pool
+def _axis_pool(hints: _TensorHints, axis: int) -> list:
+    """Extents to draw for one axis of a shape."""
+    pool = _int_candidates(hints.dims.get(axis, _Range()), EXTENT_SPECIALS)
+    pool = [v for v in pool if v >= 0] or [1]
+    if hints.size.lo >= 1 or hints.size_pins or hints.elems.pins or hints.at_index:
+        pool = [v for v in pool if v > 0] or pool
     return pool
 
 
@@ -474,22 +470,6 @@ def _elem_pool(erange: _Range, dtype: DType, string_pool) -> list:
         pins = [p for p in erange.pins if p not in erange.avoids]
         return pins or [True, False]
     raise ValueError(f"no element pool for {dtype}")
-
-
-@_cached_pool
-def _scalar_pool(scalar: _Range, dtype: DType, string_pool) -> list:
-    if dtype is DType.INT:
-        return _int_candidates(scalar, INT_SPECIALS)
-    if dtype is DType.FLOAT:
-        pins = [v for v in scalar.pins if scalar.admits(v)]
-        return pins or [v for v in FLOAT_SPECIALS if scalar.admits(v)] or [0.0]
-    if dtype is DType.STRING:
-        pins = [v for v in scalar.pins if v not in scalar.avoids]
-        return pins or [s for s in string_pool if s not in scalar.avoids] or ["x"]
-    if dtype is DType.BOOL:
-        pins = [v for v in scalar.pins if v not in scalar.avoids]
-        return pins or [True, False]
-    raise ValueError(f"no scalar draw for {dtype}")
 
 
 # -- solve plans --
@@ -657,7 +637,7 @@ class GuidedGenerator:
         best_score = -1
         for _ in range(self.RETRIES):
             if p.role == "attr":
-                value = _draw(rng, _scalar_pool(scalar, p.dtype, self.string_pool))
+                value = _draw(rng, _elem_pool(scalar, p.dtype.element, self.string_pool))
             else:
                 value = self._draw_tensor(rng, p, hints, plan.ndim_referenced)
             score = self._test(name, value, resolved, bound)
@@ -679,7 +659,7 @@ class GuidedGenerator:
         return ResourceRef(p.entity, state)
 
     def _draw_tensor(self, rng, p, hints: _TensorHints, ndim_referenced: bool):
-        rank = _draw(rng, hints.rank_pool(ndim_referenced))
+        rank = _draw(rng, _rank_pool(hints, ndim_referenced))
         shape = self._draw_shape(rng, hints, rank)
         return self._fill_elements(rng, p, shape, hints)
 
@@ -687,9 +667,9 @@ class GuidedGenerator:
         if rank == 0:
             return ()
         size = hints.size
-        size_pins = hints.size_pins()
+        size_pins = hints.size_pins
         for _ in range(8):
-            shape = [_draw(rng, hints.axis_pool(axis)) for axis in range(rank)]
+            shape = [_draw(rng, _axis_pool(hints, axis)) for axis in range(rank)]
             if size_pins:
                 shape = self._fit_size(shape, hints, size_pins[0])
                 if shape is None:
@@ -925,14 +905,7 @@ def generate_random(spec, rng) -> dict:
         if p.container == "resource":
             binding[p.name] = ResourceRef(p.entity, _RESOURCE_STATES[_below(getbits, 4)])
         elif p.role == "attr":
-            if p.dtype is DType.INT:
-                binding[p.name] = _random_int64(getbits)
-            elif p.dtype is DType.FLOAT:
-                binding[p.name] = -1e18 + 2e18 * rng.random()
-            elif p.dtype is DType.STRING:
-                binding[p.name] = _random_string(getbits)
-            else:
-                binding[p.name] = _below(getbits, 2) == 1
+            binding[p.name] = _random_elements(rng, p.dtype.element, 1)[0]
         else:
             rank = _below(getbits, 5)
             shape = tuple([_below(getbits, 9) for _ in range(rank)])

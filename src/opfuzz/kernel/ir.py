@@ -31,6 +31,13 @@ class DType(enum.Enum):
     def is_tensor(self) -> bool:
         return self.name.startswith("DT_") and self is not DType.DT_RESOURCE
 
+    @cached_property
+    def element(self) -> DType:
+        """The element dtype whose values an attr of this dtype takes; a tensor dtype's own."""
+        return _ELEMENTS.get(self, self)
+
+
+_ELEMENTS = {DType.INT: DType.DT_INT64, DType.FLOAT: DType.DT_FLOAT, DType.STRING: DType.DT_STRING, DType.BOOL: DType.DT_BOOL}
 
 # the Python type a scalar attr of each dtype must have
 ATTR_PYTYPES = {DType.INT: int, DType.FLOAT: float, DType.STRING: str, DType.BOOL: bool}

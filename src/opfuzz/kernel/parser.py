@@ -49,7 +49,9 @@ class KernelParseError(Exception):
 
 
 _TENSOR_ELEMS = {"i64": DType.DT_INT64, "f32": DType.DT_FLOAT, "str": DType.DT_STRING, "bool": DType.DT_BOOL}
-_ATTR_TYPES = {"int": DType.INT, "float": DType.FLOAT, "string": DType.STRING, "bool": DType.BOOL}
+ATTR_TYPES = {"int": DType.INT, "float": DType.FLOAT, "string": DType.STRING, "bool": DType.BOOL}
+# the static type of a scalar value, by the element dtype it takes
+_SCALAR_TYPES = {DType.DT_INT64: "int", DType.DT_FLOAT: "float", DType.DT_STRING: "str", DType.DT_BOOL: "bool"}
 
 RESOURCE_VERBS = ("New", "Push", "Pop", "Close", "Find", "Remove")
 
@@ -234,7 +236,7 @@ class _Lowerer(Tokens):
         if name in self.param_ids:
             self.fail(f"duplicate parameter {name!r}", name_tok)
         if kind == "attr":
-            if dtype not in _ATTR_TYPES.values():
+            if dtype not in ATTR_TYPES.values():
                 self.fail("attrs must have scalar type", name_tok)
             decl = ParamDecl(name, "attr", dtype, "scalar")
         else:
@@ -263,8 +265,8 @@ class _Lowerer(Tokens):
             entity = self.expect("ident")
             self.expect("punct", ">")
             return DType.DT_RESOURCE, f"resource:{entity}", entity
-        if word in _ATTR_TYPES:
-            return _ATTR_TYPES[word], {"int": "int", "float": "float", "string": "str", "bool": "bool"}[word], None
+        if word in ATTR_TYPES:
+            return ATTR_TYPES[word], _SCALAR_TYPES[ATTR_TYPES[word].element], None
         self.fail(f"unknown type {word!r}", tok)
 
     def prologue(self):
@@ -432,7 +434,7 @@ class _Lowerer(Tokens):
             self.expect("punct", "=")
             val_tok = self.peek()
             vid, vt = self.parse_expr()
-            elem_t = {"i64": "int", "f32": "float", "str": "str", "bool": "bool"}[base_t.split(":")[1]]
+            elem_t = _SCALAR_TYPES[_TENSOR_ELEMS[base_t.split(":")[1]]]
             if vt != elem_t:
                 self.fail(f"stored value must be {elem_t}, got {vt}", val_tok)
             self.expect("punct", ";")
@@ -613,8 +615,7 @@ class _Lowerer(Tokens):
             idx_ids = self.parse_index_list()
             dst = self.new_val()
             self.append("tload", dst, (vid, tuple(idx_ids)))
-            elem_t = {"i64": "int", "f32": "float", "str": "str", "bool": "bool"}[vt.split(":")[1]]
-            return dst, elem_t
+            return dst, _SCALAR_TYPES[_TENSOR_ELEMS[vt.split(":")[1]]]
         return vid, vt
 
     def parse_shape_fn(self):

@@ -15,26 +15,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .kernel.ir import DType, ParamDecl
-from .kernel.parser import Tokens, token_pattern
+from .kernel.parser import ATTR_TYPES, Tokens, token_pattern
 
 log = logging.getLogger(__name__)
 
-# descriptor `type:` tags for input_arg / output_arg
-TENSOR_TAGS = {
-    "DT_INT64": DType.DT_INT64,
-    "DT_FLOAT": DType.DT_FLOAT,
-    "DT_STRING": DType.DT_STRING,
-    "DT_BOOL": DType.DT_BOOL,
-    "DT_RESOURCE": DType.DT_RESOURCE,
-}
-
-# quoted attr `type:` tags
-ATTR_TAGS = {
-    "int": DType.INT,
-    "float": DType.FLOAT,
-    "string": DType.STRING,
-    "bool": DType.BOOL,
-}
+# descriptor `type:` tags for input_arg / output_arg; quoted attr tags are
+# the kernel language's attr types
+TENSOR_TAGS = {d.name: d for d in DType if d.name.startswith("DT_")}
 
 
 class DescriptorError(Exception):
@@ -179,11 +166,11 @@ class _Parser(Tokens):
     def parse_arg(self, f, role: str) -> ParamDecl:
         name, dtype_tok, entity, is_file = self.parse_arg_fields(role)
         if role == "attr":
-            if dtype_tok[1] not in ATTR_TAGS:
+            if dtype_tok[1] not in ATTR_TYPES:
                 self.fail(f"unknown attr type {dtype_tok[1]!r}", dtype_tok)
             if entity is not None or is_file:
                 self.fail("attrs are plain scalars", dtype_tok)
-            return ParamDecl(name, "attr", ATTR_TAGS[dtype_tok[1]], "scalar")
+            return ParamDecl(name, "attr", ATTR_TYPES[dtype_tok[1]], "scalar")
         if dtype_tok[1] not in TENSOR_TAGS:
             self.fail(f"unknown dtype tag {dtype_tok[1]!r}", dtype_tok)
         dtype = TENSOR_TAGS[dtype_tok[1]]

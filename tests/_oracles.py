@@ -790,8 +790,9 @@ class ArithFail(Exception):
 def reference_arith(op: str, a, b):
     """The constraint evaluator's own int/float arithmetic before it used
     the VM's: bools and non-numbers fail, ints stay in signed 64-bit, `/`
-    and `%` truncate toward zero, and an int mixes freely with a float.
-    Float `%` follows C's fmod, NaN for an infinite dividend."""
+    and `%` truncate toward zero, and an int mixes freely with a float
+    unless it is too large for one.  Float `%` follows C's fmod, NaN for an
+    infinite dividend."""
 
     def check64(v):
         if v < INT64_MIN or v > INT64_MAX:
@@ -813,6 +814,10 @@ def reference_arith(op: str, a, b):
             return check64(_ref_div(a, b))
         return check64(a - _ref_div(a, b) * b)
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        for v in (a, b):
+            # from half an ulp above the largest double, an int rounds past it
+            if isinstance(v, int) and abs(v) >= 2**1024 - 2**970:
+                raise ArithFail()
         if op == "+":
             return a + b
         if op == "-":

@@ -94,6 +94,17 @@ def test_golden_check_flags_a_doctored_golden(capsys, tmp_path):
     assert "OK   Bincount" in out
 
 
+def test_golden_check_flags_an_int_too_large_for_a_float(capsys, tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(BUNDLED, root)
+    golden = root / "golden" / "MatrixDet.ctree"
+    golden.write_text(golden.read_text().replace("== 2", "== " + "1" * 400 + " * 1.5"))
+    code, out, err = run_cli(capsys, "--corpus", str(root), "extract", "--golden-check")
+    assert code == 3
+    assert "FAIL MatrixDet" in out
+    assert "MatrixDet: extracted tree differs from golden" in err
+
+
 def test_golden_check_names_a_malformed_golden_line(capsys, tmp_path):
     root = tmp_path / "corpus"
     shutil.copytree(BUNDLED, root)

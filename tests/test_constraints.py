@@ -1,8 +1,10 @@
 """Constraint expressions: evaluation, normalization, text format, ordering."""
 
 import dataclasses
+import io
 import logging
 import sys
+import tokenize
 from unittest import mock
 
 import pytest
@@ -31,6 +33,7 @@ from opfuzz.constraints import (
     Val,
     Var,
     _Lowering,
+    atoms,
     classify_constraints,
     evaluate,
     evaluate_tree,
@@ -554,6 +557,31 @@ def test_corpus_text_never_reaches_generated_source(name):
     with pytest.raises(ConstraintError, match="binding missing param"):
         evaluate(Cmp("==", AttrRef(name), Lit(1)), {})
     assert "opfuzz_injected" not in sys.modules
+
+
+def _lowered_names_and_strings(low: _Lowering) -> tuple:
+    """The NAME tokens of a lowering's source, less attribute names (the
+    VM's `.shape`, `.size`), and its STRING tokens."""
+    source = "def f(b):\n" + "\n".join(low.lines) + "\n"
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    names = {t.string for prev, t in zip(tokens, tokens[1:]) if t.type == tokenize.NAME and prev.string != "."}
+    return names, [t.string for t in tokens if t.type == tokenize.STRING]
+
+
+def test_lowered_corpus_constraints_hold_no_corpus_text(corpus):
+    for spec in corpus.registry.testable:
+        tree = corpus.tree_for(spec.name)
+        words = {p.name for p in spec.params}
+        for c in tree.all_constraints() + tree.all_guards():
+            lowerings = [_Lowering()]
+            lowerings[0].pred(c.expr, {})
+            for atom in atoms(c.expr):
+                lowerings.append(_Lowering("_FAIL"))
+                lowerings[-1].value(atom, {})
+            for low in lowerings:
+                names, strings = _lowered_names_and_strings(low)
+                assert not strings, (spec.name, render(c.expr))
+                assert not words & names, (spec.name, render(c.expr))
 
 
 def test_evaluate_tree_looks_up_evaluate_once_per_constraint_and_guard(monkeypatch):

@@ -4,6 +4,7 @@ replaced, and the evaluated tree against the kernel it was lifted from."""
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,8 +46,12 @@ from opfuzz.constraints import (
     evaluate,
     evaluate_tree,
     nodes,
+    normal_form,
     normalize,
     params_of,
+    parse_constraint,
+    parse_tree,
+    tree_equal,
     value_of,
 )
 from opfuzz.generator import GuidedGenerator, _fold_atoms, _string_literals, _substitute_bound, generate_random
@@ -190,6 +195,24 @@ def test_evaluator_arithmetic_matches_the_reference(op, a, b, c):
     for other in (c, value):
         truth = want[0] == "ok" and isinstance(other, str) == isinstance(value, str) and value == other
         assert evaluate(Cmp("==", expr, Lit(other)), {}) is truth
+
+
+_NO_FLOAT = 2**1024 - 2**970  # the least int that float() cannot convert
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "%"])
+@pytest.mark.parametrize("big", [_NO_FLOAT, -(10**400)], ids=["2**1024-2**970", "-10**400"])
+def test_an_int_too_large_for_a_float_fails_against_a_float(op, big):
+    for a, b in ((big, 1.5), (1.5, big)):
+        assert _arith_outcome(reference_arith, op, a, b) == ("fail", None)
+        assert _arith_outcome(_package_arith, op, a, b) == ("fail", None)
+        assert _fold(Arith(op, Lit(a), Lit(b))) == Arith(op, Lit(a), Lit(b))
+    fits = _arith_outcome(reference_arith, op, _NO_FLOAT - 1, 1.5)
+    assert fits[0] == "ok" and _arith_outcome(_package_arith, op, _NO_FLOAT - 1, 1.5) == fits
+    assert evaluate(Cmp("<", Arith(op, Lit(big), AttrRef("f")), Lit(0)), {"f": 1.0}) is False
+    text = f"x < {big} {op} 1.5"
+    assert tree_equal(parse_tree(text), parse_tree(text))
+    assert normal_form(parse_constraint(text)) == f"{big} {op} 1.5 > x"
 
 
 # -- the tree against the kernel ----------------------------------------------

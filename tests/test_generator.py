@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,14 +26,18 @@ from opfuzz.constraints import (
     parse_constraint,
 )
 from opfuzz import constraints, generator, orchestrator
-from opfuzz.corpus import encode_binding
+from opfuzz.corpus import encode_binding, load_corpus
 from opfuzz.generator import (
+    EXTENT_SPECIALS,
     GuidedGenerator,
     _DEAD,
     _ExprPlans,
+    _TensorHints,
+    _axis_pool,
     _below,
     _fold_atoms,
     _fold_key,
+    _rank_pool,
     _substitute_bound,
     _choice_vectors,
     build_control_template,
@@ -298,6 +304,48 @@ def test_solve_memo_keeps_equal_but_distinct_values_apart(corpus):
     tensor = TensorVal(DType.DT_INT64, (1,), data=[1])
     _, scalar = gen._hints(plan, "b", {"a": tensor})
     assert scalar.pins == [tensor] and len(plan.memo) == len(values)
+
+
+_ALPHA_OPS = """op {
+  name: "Alpha"
+  module: "raw_ops"
+  kernel: "AlphaKernel"
+  input_arg { name: "x" type: DT_FLOAT }
+  attr { name: "alpha" type: "float" }
+  output_arg { name: "y" type: DT_FLOAT }
+}
+"""
+
+_ALPHA_KERNEL = """kernel AlphaKernel {
+  input x : tensor<f32>;
+  attr alpha : float;
+  output y : tensor<f32>;
+  require alpha > 5000000000.0, "alpha too small";
+  emit y = x;
+}
+"""
+
+
+def test_a_float_attr_is_drawn_inside_a_bound_no_special_meets(tmp_path):
+    root = tmp_path / "corpus"
+    shutil.copytree(Path(generator.__file__).parent / "corpus_data", root)
+    (root / "ops" / "alpha.ops").write_text(_ALPHA_OPS)
+    (root / "kernels" / "alpha.krn").write_text(_ALPHA_KERNEL)
+    gen = GuidedGenerator(load_corpus(root), "Alpha")
+    rng = random.Random(0)
+    for iteration in range(1, 4):
+        binding, _ = gen.generate(rng, iteration)
+        assert binding["alpha"] > 5e9
+
+
+def test_rank_and_axis_pools_keep_equal_keys_apart():
+    """Rank pool `True` and axis pool `1` share one memo, and `True == 1`."""
+    calls = [(_rank_pool, True, [3]), (_axis_pool, 1, list(EXTENT_SPECIALS))]
+    for order in (calls, calls[::-1]):
+        hints = _TensorHints()
+        hints.rank.bound("==", 3)
+        for pool, key, want in order:
+            assert pool(hints, key) == want
 
 
 def _fold_exprs():
