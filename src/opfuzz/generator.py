@@ -10,14 +10,21 @@ distributions with no knowledge of constraints.
 The data template fixes the parameter order and the choice vectors before
 the first draw, so the guided generator compiles them into solve plans,
 built lazily and kept for the generator's life.  Per choice vector it
-keeps the active constraints; per (param, names already bound) it keeps
-the constraints that resolve for the param and the bound atoms their
-residuals fold to literals; and per plan a memo maps those atoms' values
-to the hints read from the residuals, whose candidate pools are cached in
-turn by the one memo `_cached_pool`.  A scalar attr draws from the element
-pool of its `DType.element`.  A draw then only reads atoms, consumes the
-rng and tests candidates, in the same order as without plans, so reports
-do not change.  Atoms are read through `constraints.value_of` and
+keeps the active constraints and the steps of a draw: each param in
+order with its solve plan, or none for a resource.  Per (param, names
+already bound) a plan keeps the constraints that resolve for the param
+and the bound atoms their residuals fold to literals; a memo maps those
+atoms' values to the hints read from the residuals, and a plan with no
+folded atoms holds its one hints entry itself.  Each hints entry builds
+its draw on first use: a scalar attr's picks from the element pool of its
+`DType.element`, a tensor's `_TensorDrawer`, which holds the rank, axis,
+element and `at_index` pools and builds tensors whose shapes it drew
+from pools of non-negative ints through `TensorVal.trusted`.  A candidate
+is scored in place, written into the binding under test and deleted
+after.  A draw then only reads atoms, consumes the rng and tests
+candidates, in the same order as reading each pool per pick, so reports
+do not change; a test pins this against that path, kept in
+`tests/_oracles.py`.  Atoms are read through `constraints.value_of` and
 candidates tested through `constraints.evaluate`, the compiled forms of
 one lowering.  Repair's first pass skips the constraints a param's solve
 already saw hold.  Each pick from a pool, and each resource state, is
@@ -37,8 +44,9 @@ reference that makes those stdlib calls.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 from .constraints import (
     ATOM_TYPES,
@@ -251,9 +259,6 @@ class _Range:
     pins: list = field(default_factory=list)
     avoids: set = field(default_factory=set)
     moduli: list = field(default_factory=list)
-    # candidate pools drawn from this range; a range shared through a solve
-    # plan's memo is never bounded again, so they stay valid
-    pools: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bound(self, op: str, v):
         if op == "==":
@@ -289,7 +294,8 @@ class _TensorHints:
     at_index: dict = field(default_factory=dict)  # const idx tuple -> _Range
     val_arities: set = field(default_factory=set)
     max_dim_axis: int | None = None  # highest axis any dim() atom touches
-    pools: dict = field(default_factory=dict, repr=False, compare=False)  # as on _Range
+    # the hints entry's `draw(rng)` for its param, built on first use
+    drawer: object = field(default=None, repr=False, compare=False)
 
     def dim(self, axis: int) -> _Range:
         return self.dims.setdefault(axis, _Range())
@@ -384,21 +390,6 @@ def _string_literals(tree: ConstraintTree) -> list:
 # -- candidate drawing --
 
 
-def _cached_pool(build):
-    """Cache `build(owner, key, ...)` in `owner.pools` under `(build, key)`:
-    a bare key would let rank pool `True` answer for axis pool `1`."""
-
-    def cached(owner, key, *rest) -> list:
-        memo_key = (build, key)
-        pool = owner.pools.get(memo_key)
-        if pool is None:
-            pool = owner.pools[memo_key] = build(owner, key, *rest)
-        return pool
-
-    return cached
-
-
-@_cached_pool
 def _int_candidates(rng_range: _Range, specials) -> list:
     lo, hi = rng_range.lo, rng_range.hi
     pins = [p for p in rng_range.pins if rng_range.admits(p)]
@@ -414,11 +405,10 @@ def _int_candidates(rng_range: _Range, specials) -> list:
         base = int(lo) if lo != -_INF else 0
         top = int(hi) if hi != _INF else base + WINDOW - 1
         window = [v for v in range(base, min(base + WINDOW, top + 1)) if rng_range.admits(v)]
-        pool = window or ([int(lo)] if lo != -_INF else [0])
+        pool = window or [int(lo) if lo != -_INF else math.floor(hi) if hi != _INF else 0]
     return pool
 
 
-@_cached_pool
 def _rank_pool(hints: _TensorHints, ndim_referenced: bool) -> list:
     """Ranks to draw from; a single entry is taken without the rng."""
     r = hints.rank
@@ -436,7 +426,6 @@ def _rank_pool(hints: _TensorHints, ndim_referenced: bool) -> list:
     return pool or [v for v in range(floor, 7) if r.admits(v)] or [max(floor, 1)]
 
 
-@_cached_pool
 def _axis_pool(hints: _TensorHints, axis: int) -> list:
     """Extents to draw for one axis of a shape."""
     pool = _int_candidates(hints.dims.get(axis, _Range()), EXTENT_SPECIALS)
@@ -450,7 +439,20 @@ def _draw(rng, pool):
     return pool[_below(rng.getrandbits, len(pool))] if len(pool) > 1 else pool[0]
 
 
-@_cached_pool
+def _draws(rng, pool, n: int) -> list:
+    """`[_draw(rng, pool) for _ in range(n)]`, with `_below` inlined."""
+    m = len(pool)
+    if m < 2:
+        return [pool[0]] * n
+    getbits, k, out = rng.getrandbits, m.bit_length(), []
+    for _ in range(n):
+        r = getbits(k)
+        while r >= m:
+            r = getbits(k)
+        out.append(pool[r])
+    return out
+
+
 def _elem_pool(erange: _Range, dtype: DType, string_pool) -> list:
     if dtype is DType.DT_INT64:
         return _int_candidates(erange, INT_SPECIALS)
@@ -459,7 +461,7 @@ def _elem_pool(erange: _Range, dtype: DType, string_pool) -> list:
         if pins:
             return pins
         pool = [v for v in FLOAT_SPECIALS if erange.admits(v)]
-        return pool or [float(erange.lo) if erange.lo != -_INF else 0.0]
+        return pool or [float(erange.lo) if erange.lo != -_INF else float(erange.hi) if erange.hi != _INF else 0.0]
     if dtype is DType.DT_STRING:
         pins = [p for p in erange.pins if p not in erange.avoids]
         if pins:
@@ -470,6 +472,80 @@ def _elem_pool(erange: _Range, dtype: DType, string_pool) -> list:
         pins = [p for p in erange.pins if p not in erange.avoids]
         return pins or [True, False]
     raise ValueError(f"no element pool for {dtype}")
+
+
+def _fit_size(shape, hints: _TensorHints, n: int):
+    """Adjust free axes so the product equals n, keeping pinned axes."""
+    pinned = {}
+    for axis, r in hints.dims.items():
+        if axis < len(shape) and r.pins:
+            pinned[axis] = r.pins[0]
+    fixed = _product(pinned.values())
+    free = [a for a in range(len(shape)) if a not in pinned]
+    if not free:
+        return list(shape) if fixed == n else None
+    if fixed == 0 or n % fixed != 0:
+        return None
+    out = list(shape)
+    for axis, v in pinned.items():
+        out[axis] = v
+    for a in free[:-1]:
+        out[a] = 1
+    out[free[-1]] = n // fixed
+    return out
+
+
+class _TensorDrawer:
+    """One hints entry's tensor draw with its pools read once: the rank,
+    then the axes (eight tries at an admitted size, then `_fit_size`'s
+    fallbacks), then the elements, then the `at_index` overrides, each pick
+    consuming the rng as one `_draw` from its pool."""
+
+    def __init__(self, hints: _TensorHints, p, ndim_referenced: bool, fixture, string_pool):
+        self.hints, self.dtype = hints, p.dtype
+        self.ranks = _rank_pool(hints, ndim_referenced)
+        self.axes = [_axis_pool(hints, axis) for axis in range(max(self.ranks))]
+        size = hints.size
+        self.size_free = size.lo == -_INF and size.hi == _INF and not size.avoids and not size.moduli
+        self.size_pin = hints.size_pins[0] if hints.size_pins else None
+        self.label = fixture if p.is_file and fixture else None  # a file param's every element
+        if self.label is None:
+            self.elems = _elem_pool(hints.elems, p.dtype, string_pool)
+            self.at_index = [(idx, _elem_pool(r, p.dtype, string_pool)) for idx, r in hints.at_index.items()]
+        # shapes drawn from the axis pools alone may skip TensorVal's checks
+        self.trusted = p.dtype.is_tensor and all(type(v) is int and v >= 0 for pool in self.axes for v in pool)
+
+    def draw(self, rng) -> TensorVal:
+        rank = _draw(rng, self.ranks)
+        shape, trusted = self._shape(rng, rank) if rank != 0 else ((), self.trusted)
+        size, label = _product(shape), self.label
+        if 0 <= size <= DENSE_ELEMENT_LIMIT:
+            data, fill = [label] * size if label is not None else _draws(rng, self.elems, size), None
+        else:
+            data, fill = None, label if label is not None else _draw(rng, self.elems)
+        t = TensorVal.trusted(self.dtype, shape, size, data, fill) if trusted else TensorVal(self.dtype, shape, data, fill)
+        if label is None:
+            for idx, pool in self.at_index:
+                flat = _flat_of(shape, idx)
+                if flat is not None:
+                    t.flat_set(flat, _draw(rng, pool))
+        return t
+
+    def _shape(self, rng, rank: int) -> tuple:
+        """(shape, whether `TensorVal.trusted` may take it)."""
+        axes, pin = self.axes[:rank], self.size_pin
+        for _ in range(8):
+            shape = [_draw(rng, pool) for pool in axes]
+            if pin is not None:
+                shape = _fit_size(shape, self.hints, pin)
+                if shape is None:
+                    continue
+            if self.size_free or self.hints.size.admits(_product(shape)):
+                return tuple(shape), self.trusted and pin is None
+        if pin is None:
+            return tuple(shape), self.trusted
+        # honest fallback: a shape meeting the size pin
+        return tuple(_fit_size([1] * rank, self.hints, pin) or [1] * (rank - 1) + [max(pin, 0)]), False
 
 
 # -- solve plans --
@@ -484,6 +560,7 @@ class _SolvePlan:
     folds: tuple  # per resolved expr, its atoms over bound params
     ndim_referenced: bool  # some expr, resolved or not, reads ndim(param)
     memo: dict = field(default_factory=dict)  # fold key -> (tensor hints, scalar range)
+    hints: tuple | None = None  # the one memo entry of a plan without folded atoms
 
 
 class _ExprPlans:
@@ -505,6 +582,8 @@ class _ExprPlans:
             resolved = [e for e, ps in zip(self.exprs, self.params) if name in ps and ps - {name} <= names]
             folds = tuple(_fold_atoms(e, names, name) for e in resolved)
             plan = self.plans[(name, names)] = _SolvePlan(resolved, folds, name in self.ndim_params)
+            if not any(folds):
+                plan.hints = _collect_hints(resolved, name)
         return plan
 
 
@@ -514,6 +593,7 @@ class _VectorPlan:
 
     validation: list
     plans: _ExprPlans  # over the validation exprs, then the guard pins
+    steps: list  # generate's (param, its solve plan or None for a resource), in order
     probes: dict = field(default_factory=dict)  # validation index -> plans with it negated
 
 
@@ -581,20 +661,26 @@ class GuidedGenerator:
         if vp is None:
             validation, pins = self.active_sets(self.data.vectors[vec_index])
             plans = self.plans_over([c.expr for c in validation] + pins)
-            vp = self.vector_plans[vec_index] = _VectorPlan(validation, plans)
+            order = self.data.order
+            resource = {n for n, p in self.params.items() if p.container == "resource"}
+            steps = [(n, None if n in resource else plans.plan(n, order[:i])) for i, n in enumerate(order)]
+            vp = self.vector_plans[vec_index] = _VectorPlan(validation, plans, steps)
         return vp
 
     def generate(self, rng, iteration: int) -> tuple:
         """Returns (binding, vector index used)."""
         vec_index = (iteration - 1) % self.n_vectors
-        plans = self.vector_plan(vec_index).plans
+        vp = self.vector_plan(vec_index)
         binding = {}
         settled = set()
-        for name in self.data.order:
-            binding[name], held = self._solve_param(rng, name, plans, binding)
+        for name, plan in vp.steps:
+            if plan is None:
+                binding[name] = self._draw_resource(rng, self.params[name])
+                continue
+            binding[name], held = self._solve(rng, name, plan, binding)
             if held:
                 settled.add(name)
-        self.repair(rng, binding, plans, settled)
+        self.repair(rng, binding, vp.plans, settled)
         return binding, vec_index
 
     # solving
@@ -620,27 +706,32 @@ class GuidedGenerator:
             hit = plan.memo[key] = _collect_hints(self._residuals(name, plan.resolved, bound), name)
         return hit
 
-    def _test(self, name: str, value, resolved, bound: dict) -> int:
-        trial = dict(bound)
-        trial[name] = value
-        return sum(1 for e in resolved if evaluate(e, trial))
-
     def _solve_param(self, rng, name: str, plans: _ExprPlans, bound: dict) -> tuple:
         """(value, whether it met every expr resolved for it)."""
         p = self.params[name]
         if p.container == "resource":
             return self._draw_resource(rng, p), False
-        plan = plans.plan(name, bound)
-        resolved = plan.resolved
-        hints, scalar = self._hints(plan, name, bound)
-        best = None
-        best_score = -1
-        for _ in range(self.RETRIES):
+        return self._solve(rng, name, plans.plan(name, bound), bound)
+
+    def _solve(self, rng, name: str, plan: _SolvePlan, bound: dict) -> tuple:
+        """`_solve_param` for a non-resource param on its plan.  Each
+        candidate is scored in place, in `bound[name]`, which `bound` must
+        not hold: it is deleted again after the test."""
+        hints, scalar = plan.hints or self._hints(plan, name, bound)
+        draw = hints.drawer
+        if draw is None:
+            p = self.params[name]
             if p.role == "attr":
-                value = _draw(rng, _elem_pool(scalar, p.dtype.element, self.string_pool))
+                draw = partial(_draw, pool=_elem_pool(scalar, p.dtype.element, self.string_pool))
             else:
-                value = self._draw_tensor(rng, p, hints, plan.ndim_referenced)
-            score = self._test(name, value, resolved, bound)
+                draw = _TensorDrawer(hints, p, plan.ndim_referenced, self.control.fixture, self.string_pool).draw
+            hints.drawer = draw
+        resolved = plan.resolved
+        best, best_score = None, -1
+        for _ in range(self.RETRIES):
+            value = bound[name] = draw(rng)
+            score = sum(1 for e in resolved if evaluate(e, bound))
+            del bound[name]
             if score > best_score:
                 best, best_score = value, score
             if score == len(resolved):
@@ -657,75 +748,6 @@ class GuidedGenerator:
         else:
             state = _RESOURCE_STATES[_below(rng.getrandbits, 4)]
         return ResourceRef(p.entity, state)
-
-    def _draw_tensor(self, rng, p, hints: _TensorHints, ndim_referenced: bool):
-        rank = _draw(rng, _rank_pool(hints, ndim_referenced))
-        shape = self._draw_shape(rng, hints, rank)
-        return self._fill_elements(rng, p, shape, hints)
-
-    def _draw_shape(self, rng, hints: _TensorHints, rank: int) -> tuple:
-        if rank == 0:
-            return ()
-        size = hints.size
-        size_pins = hints.size_pins
-        for _ in range(8):
-            shape = [_draw(rng, _axis_pool(hints, axis)) for axis in range(rank)]
-            if size_pins:
-                shape = self._fit_size(shape, hints, size_pins[0])
-                if shape is None:
-                    continue
-            if size.admits(_product(shape)):
-                return tuple(shape)
-        # honest fallback: a shape meeting the size pin if one exists
-        if size_pins:
-            n = size_pins[0]
-            fitted = self._fit_size([1] * rank, hints, n)
-            if fitted:
-                return tuple(fitted)
-            return tuple([1] * (rank - 1) + [max(n, 0)])
-        return tuple(shape)
-
-    def _fit_size(self, shape, hints: _TensorHints, n: int):
-        """Adjust free axes so the product equals n, keeping pinned axes."""
-        pinned = {}
-        for axis, r in hints.dims.items():
-            if axis < len(shape) and r.pins:
-                pinned[axis] = r.pins[0]
-        fixed = _product(pinned.values())
-        free = [a for a in range(len(shape)) if a not in pinned]
-        if not free:
-            return list(shape) if fixed == n else None
-        if fixed == 0 or n % fixed != 0:
-            return None
-        quota = n // fixed
-        out = list(shape)
-        for axis, v in pinned.items():
-            out[axis] = v
-        for a in free[:-1]:
-            out[a] = 1
-        out[free[-1]] = quota
-        return out
-
-    def _fill_elements(self, rng, p, shape: tuple, hints: _TensorHints) -> TensorVal:
-        size = _product(shape)
-        if p.is_file and self.control.fixture:
-            label = self.control.fixture
-            if 0 <= size <= DENSE_ELEMENT_LIMIT:
-                return TensorVal(p.dtype, shape, data=[label] * size)
-            return TensorVal(p.dtype, shape, fill=label)
-        pool = _elem_pool(hints.elems, p.dtype, self.string_pool)
-        if 0 <= size <= DENSE_ELEMENT_LIMIT:
-            data = [_draw(rng, pool) for _ in range(size)]
-            t = TensorVal(p.dtype, shape, data=data)
-        else:
-            t = TensorVal(p.dtype, shape, fill=_draw(rng, pool))
-        for idx, erange in hints.at_index.items():
-            flat = _flat_of(shape, idx)
-            if flat is None:
-                continue
-            sub = _elem_pool(erange, p.dtype, self.string_pool)
-            t.flat_set(flat, _draw(rng, sub))
-        return t
 
     # repair
 

@@ -27,7 +27,7 @@ class DType(enum.Enum):
     DT_BOOL = "DT_BOOL"
     DT_RESOURCE = "DT_RESOURCE"
 
-    @property
+    @cached_property
     def is_tensor(self) -> bool:
         return self.name.startswith("DT_") and self is not DType.DT_RESOURCE
 
@@ -101,6 +101,16 @@ class TensorVal:
             self.data = None
             self.fill = fill
         self.overrides: dict[int, object] = {}
+
+    @classmethod
+    def trusted(cls, dtype: DType, shape: tuple, size: int, data: list | None, fill=None) -> TensorVal:
+        """A tensor without `__init__`'s checks, for a caller that has made
+        them: `dtype` is a tensor dtype, `shape` a tuple of non-negative ints
+        whose product is `size`, and `data` a fresh list of `size` elements,
+        at most `EAGER_ELEMENT_CAP`, or None beside a `fill`."""
+        t = cls.__new__(cls)
+        t.dtype, t.shape, t._size, t.data, t.fill, t.overrides = dtype, shape, size, data, fill, {}
+        return t
 
     @property
     def size(self) -> int:

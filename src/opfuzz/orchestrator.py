@@ -198,8 +198,11 @@ class _Campaign:
         self.findings = []
         self.finding_keys = {"guided": set(), "random": set()}
         self.first_cover: dict = {}
+        self.folded: dict = {}  # covered set -> the stats it was last noted for, reset with first_cover
         self.first_success: dict = {}  # kernel_id -> encoded binding
         self.generators: dict = {}
+        self.parts: dict = {}  # op -> (spec, kernel, resource param names)
+        self.scaffolds: dict = {}  # op -> its predecessors as (generator, kernel, resource param names)
 
     def out_of_budget(self) -> bool:
         b = self.config.budget_secs
@@ -212,21 +215,29 @@ class _Campaign:
             self.generators[op] = g
         return g
 
+    def op_parts(self, op: str) -> tuple:
+        """(spec, kernel, names of the resource params), looked up once."""
+        parts = self.parts.get(op)
+        if parts is None:
+            spec = self.corpus.spec_for(op)
+            resources = tuple(p.name for p in spec.params if p.container == "resource")
+            parts = self.parts[op] = (spec, self.corpus.kernel_for(op), resources)
+        return parts
+
     # execution plumbing
 
     def _run_scaffold(self, op: str, mode: str, rng, handles: HandleTable, iteration: int) -> dict:
         """Run sequence predecessors, returning live handles by entity.
         Scaffold coverage counts toward the timeline but not executions."""
-        seq = self.corpus.sequence_for(op)
+        steps = self.scaffolds.get(op)
+        if steps is None:
+            seq = self.corpus.sequence_for(op)
+            earlier = seq.ops[: seq.ops.index(op)] if seq is not None else ()
+            steps = self.scaffolds[op] = [(self.generator_for(e), *self.op_parts(e)[1:]) for e in earlier]
         live: dict = {}
-        if seq is None:
-            return live
-        pos = seq.ops.index(op)
-        for earlier in seq.ops[:pos]:
-            gen = self.generator_for(earlier)
+        for gen, kernel, resources in steps:
             binding, _ = gen.generate(rng, 1)
-            self._wire_handles(binding, live)
-            kernel = self.corpus.kernel_for(earlier)
+            self._wire_handles(binding, live, resources)
             out = execute(kernel, binding, mode, handles)
             self._note_coverage(out.covered, iteration, None)
             if out.is_success:
@@ -236,14 +247,20 @@ class _Campaign:
         return live
 
     @staticmethod
-    def _wire_handles(binding: dict, live: dict):
-        for name, v in list(binding.items()):
+    def _wire_handles(binding: dict, live: dict, resources: tuple):
+        for name in resources:
+            v = binding.get(name)
             if isinstance(v, ResourceRef) and v.state == "live":
                 minted = live.get(v.entity)
                 if minted is not None:
                     binding[name] = minted
 
     def _note_coverage(self, covered, iteration: int, stats_kernel=None, stats: _OpStats | None = None):
+        # the VM returns one frozenset per coverage mask: one noted before for
+        # these stats in this arm has nothing left to add (`self` marks none)
+        if self.folded.get(covered, self) is stats:
+            return
+        self.folded[covered] = stats
         for key in covered:
             if key not in self.first_cover:
                 self.first_cover[key] = iteration
@@ -252,15 +269,16 @@ class _Campaign:
 
     def _execute(self, op: str, binding: dict, iteration: int, rng, stats: _OpStats, arm: str, counted=True, probe_of=None):
         """One binding across all configured modes."""
-        spec = self.corpus.spec_for(op)
-        kernel = self.corpus.kernel_for(op)
+        spec, kernel, resources = self.op_parts(op)
         encoded = None
         outcomes = []
         for mode in self.config.modes:
             handles = HandleTable()
             live = self._run_scaffold(op, mode, rng, handles, iteration)
-            wired = dict(binding)
-            self._wire_handles(wired, live)
+            wired = binding  # `execute` reads its binding and never writes it
+            if resources:
+                wired = dict(binding)
+                self._wire_handles(wired, live, resources)
             out = execute(kernel, wired, mode, handles)
             outcomes.append(out)
             self._note_coverage(out.covered, iteration, kernel.kernel_id, stats)
@@ -379,7 +397,7 @@ def run_campaign(corpus: Corpus, config: CampaignConfig) -> dict:
     operators: dict = {}
     timelines: dict = {}
     for arm in arms:
-        campaign.first_cover = {}
+        campaign.first_cover, campaign.folded = {}, {}
         per_op: dict = {}
         for op in ops:
             stats = campaign.run_guided_op(op) if arm == "guided" else campaign.run_random_op(op)

@@ -5,6 +5,7 @@ route: per-seed graph reachability instead of a named-set fixpoint for
 taint, an explicit pairwise tournament instead of a keyed min() for call
 paths, exhaustive small-domain enumeration for generation soundness,
 the stdlib `random` calls the random baseline's direct bit draws replace,
+the per-pick guided draw the per-plan tensor drawers replaced,
 a plain instruction-by-instruction interpreter for the compiled VM,
 the per-node-type constraint walkers and arithmetic that the expression
 core replaced, the AST interpreter and its atom reader (`_eval_value`) the
@@ -52,7 +53,17 @@ from opfuzz.constraints import (
 )
 from opfuzz.corpus import CorpusError
 from opfuzz.extractor import ExtractionError, _finalize, _Lifter, _Unliftable, find_sinks, propagate_taint
-from opfuzz.generator import RANDOM_STRING_CHARS
+from opfuzz import constraints
+from opfuzz.generator import (
+    DENSE_ELEMENT_LIMIT,
+    RANDOM_STRING_CHARS,
+    GuidedGenerator,
+    _axis_pool,
+    _draw,
+    _elem_pool,
+    _flat_of,
+    _rank_pool,
+)
 from opfuzz.kernel.ir import (
     ATTR_PYTYPES,
     INT64_MAX,
@@ -361,6 +372,119 @@ def reference_generate_random(spec, rng) -> dict:
             data = [_reference_element(rng, p.dtype) for _ in range(size)]
             binding[p.name] = TensorVal(p.dtype, shape, data=data)
     return binding
+
+
+# -- the guided draw, one pool lookup per pick ------------------------------------
+#
+# This section subclasses the generator and shares its solve plans, hints and
+# candidate pools: what it keeps apart is the draw path over them, as it read
+# before each hints entry got a drawer of its own. Each solve looks up its plan
+# and hints, each rank, axis and element pick looks up its pool, each shape goes
+# through `TensorVal`'s checks and each candidate is tested on a copy of the
+# binding.
+
+
+class ReferenceGuidedGenerator(GuidedGenerator):
+    def generate(self, rng, iteration: int) -> tuple:
+        vec_index = (iteration - 1) % self.n_vectors
+        plans = self.vector_plan(vec_index).plans
+        binding = {}
+        settled = set()
+        for name in self.data.order:
+            binding[name], held = self._solve_param(rng, name, plans, binding)
+            if held:
+                settled.add(name)
+        self.repair(rng, binding, plans, settled)
+        return binding, vec_index
+
+    def _test(self, name: str, value, resolved, bound: dict) -> int:
+        trial = dict(bound)
+        trial[name] = value
+        return sum(1 for e in resolved if constraints.evaluate(e, trial))
+
+    def _solve_param(self, rng, name: str, plans, bound: dict) -> tuple:
+        p = self.params[name]
+        if p.container == "resource":
+            return self._draw_resource(rng, p), False
+        plan = plans.plan(name, bound)
+        resolved = plan.resolved
+        hints, scalar = self._hints(plan, name, bound)
+        best = None
+        best_score = -1
+        for _ in range(self.RETRIES):
+            if p.role == "attr":
+                value = _draw(rng, _elem_pool(scalar, p.dtype.element, self.string_pool))
+            else:
+                value = self._draw_tensor(rng, p, hints, plan.ndim_referenced)
+            score = self._test(name, value, resolved, bound)
+            if score > best_score:
+                best, best_score = value, score
+            if score == len(resolved):
+                break
+        return best, best_score == len(resolved)
+
+    def _draw_tensor(self, rng, p, hints, ndim_referenced: bool):
+        rank = _draw(rng, _rank_pool(hints, ndim_referenced))
+        shape = self._draw_shape(rng, hints, rank)
+        return self._fill_elements(rng, p, shape, hints)
+
+    def _draw_shape(self, rng, hints, rank: int) -> tuple:
+        if rank == 0:
+            return ()
+        size = hints.size
+        size_pins = hints.size_pins
+        for _ in range(8):
+            shape = [_draw(rng, _axis_pool(hints, axis)) for axis in range(rank)]
+            if size_pins:
+                shape = self._fit_size(shape, hints, size_pins[0])
+                if shape is None:
+                    continue
+            if size.admits(math.prod(shape)):
+                return tuple(shape)
+        if size_pins:
+            n = size_pins[0]
+            fitted = self._fit_size([1] * rank, hints, n)
+            if fitted:
+                return tuple(fitted)
+            return tuple([1] * (rank - 1) + [max(n, 0)])
+        return tuple(shape)
+
+    def _fit_size(self, shape, hints, n: int):
+        pinned = {}
+        for axis, r in hints.dims.items():
+            if axis < len(shape) and r.pins:
+                pinned[axis] = r.pins[0]
+        fixed = math.prod(pinned.values())
+        free = [a for a in range(len(shape)) if a not in pinned]
+        if not free:
+            return list(shape) if fixed == n else None
+        if fixed == 0 or n % fixed != 0:
+            return None
+        out = list(shape)
+        for axis, v in pinned.items():
+            out[axis] = v
+        for a in free[:-1]:
+            out[a] = 1
+        out[free[-1]] = n // fixed
+        return out
+
+    def _fill_elements(self, rng, p, shape: tuple, hints) -> TensorVal:
+        size = math.prod(shape)
+        if p.is_file and self.control.fixture:
+            label = self.control.fixture
+            if 0 <= size <= DENSE_ELEMENT_LIMIT:
+                return TensorVal(p.dtype, shape, data=[label] * size)
+            return TensorVal(p.dtype, shape, fill=label)
+        pool = _elem_pool(hints.elems, p.dtype, self.string_pool)
+        if 0 <= size <= DENSE_ELEMENT_LIMIT:
+            t = TensorVal(p.dtype, shape, data=[_draw(rng, pool) for _ in range(size)])
+        else:
+            t = TensorVal(p.dtype, shape, fill=_draw(rng, pool))
+        for idx, erange in hints.at_index.items():
+            flat = _flat_of(shape, idx)
+            if flat is not None:
+                t.flat_set(flat, _draw(rng, _elem_pool(erange, p.dtype, self.string_pool)))
+        return t
 
 
 # -- the kernel VM as a plain interpreter ----------------------------------------

@@ -24,6 +24,7 @@ from opfuzz.constraints import (
     evaluate_tree,
     params_of,
     parse_constraint,
+    render,
 )
 from opfuzz import constraints, generator, orchestrator
 from opfuzz.corpus import encode_binding, load_corpus
@@ -32,9 +33,12 @@ from opfuzz.generator import (
     GuidedGenerator,
     _DEAD,
     _ExprPlans,
+    _Range,
+    _TensorDrawer,
     _TensorHints,
     _axis_pool,
     _below,
+    _elem_pool,
     _fold_atoms,
     _fold_key,
     _rank_pool,
@@ -49,7 +53,7 @@ from opfuzz.kernel.ir import DType, EngineError, ParamDecl, ResourceRef, TensorV
 from opfuzz.kernel.vm import HandleTable, execute
 from opfuzz.registry import OpSpec, camel_tokens, cluster_entities
 
-from _oracles import reference_generate_random
+from _oracles import ReferenceGuidedGenerator, reference_generate_random
 
 NO_RESOURCE_OPS = None  # filled by fixture below
 
@@ -289,6 +293,104 @@ def test_warm_plans_draw_like_fresh_ones(corpus):
         assert _draws(warm, 21, 3) == _draws(GuidedGenerator(corpus, spec.name), 21, 3), spec.name
 
 
+@pytest.fixture(scope="module")
+def generator_pairs(corpus):
+    """Per testable op, a generator and its reference, kept warm across examples."""
+    return [(spec, GuidedGenerator(corpus, spec.name), ReferenceGuidedGenerator(corpus, spec.name)) for spec in corpus.registry.testable]
+
+
+def _solve_run(gen, spec, rng, start: int) -> list:
+    """Draws, probes and repairs of a random binding, with the rng state after each round."""
+    out = []
+    for i in range(start, start + 3):
+        binding, vec_index = gen.generate(rng, i)
+        out.append((repr(encode_binding(binding)), vec_index))
+        probe = gen.make_violation(rng, binding, vec_index, i)
+        out.append(None if probe is None else (repr(encode_binding(probe[0])), render(probe[1].expr)))
+        broken = generate_random(spec, rng)
+        held = gen.repair(rng, broken, gen.vector_plan(vec_index).plans)
+        out.append((held, repr(encode_binding(broken)), rng.getstate()))
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), start=st.integers(1, 64))
+@settings(max_examples=40, deadline=None)
+def test_the_specialised_draw_matches_the_reference(generator_pairs, seed, start):
+    """Same bindings, probes, repairs and rng consumption as one pool lookup per pick."""
+    for spec, gen, ref in generator_pairs:
+        assert _solve_run(gen, spec, random.Random(seed), start) == _solve_run(ref, spec, random.Random(seed), start), spec.name
+
+
+_BOUND_SITES = ("rank", "size", "elems", "dim0", "dim1", "at0", "at1", "at01")
+
+
+def _synthetic_hints(bounds, moduli) -> _TensorHints:
+    hints = _TensorHints()
+    for site, op, v in bounds:
+        if site.startswith("dim"):
+            r = hints.dim(int(site[3:]))
+        elif site.startswith("at"):
+            r = hints.at_index.setdefault(tuple(int(c) for c in site[2:]), _Range())
+        else:
+            r = getattr(hints, site)
+        r.bound(op, v)
+    for site, m in moduli:
+        (hints.size if site == "size" else hints.dim(int(site[3:]))).moduli.append(m)
+    return hints
+
+
+def _tensor_outcome(draw) -> str:
+    try:
+        t = draw()
+    except EngineError as exc:
+        return repr(exc)
+    return repr((t.dtype, t.shape, t.size, t.data, t.fill, t.overrides))
+
+
+@given(
+    bounds=st.lists(
+        st.tuples(st.sampled_from(_BOUND_SITES), st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), st.integers(-3, 9)),
+        max_size=6,
+    ),
+    moduli=st.lists(st.tuples(st.sampled_from(["size", "dim0", "dim1"]), st.integers(1, 4)), max_size=2),
+    dtype=st.sampled_from([DType.DT_INT64, DType.DT_FLOAT, DType.DT_STRING, DType.DT_BOOL]),
+    is_file=st.booleans(),
+    ndim_referenced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_drawer_draws_like_the_reference_on_any_hints(corpus, bounds, moduli, dtype, is_file, ndim_referenced, seed):
+    """Size, axis, element and `at_index` bounds the corpus may not combine."""
+    ref = ReferenceGuidedGenerator(corpus, "LARM")  # it has a fixture for file params
+    p = ParamDecl("x", "input", dtype, "tensor", is_file=is_file)
+    hints = _synthetic_hints(bounds, moduli)
+    drawer = _TensorDrawer(hints, p, ndim_referenced, ref.control.fixture, ref.string_pool)
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        got = _tensor_outcome(lambda: drawer.draw(fast))
+        assert got == _tensor_outcome(lambda: ref._draw_tensor(slow, p, hints, ndim_referenced))
+        assert fast.getstate() == slow.getstate()
+
+
+def test_a_fitted_shape_with_a_negative_extent_takes_the_checked_constructor():
+    hints = _TensorHints()
+    hints.rank.bound("==", 2)
+    hints.size.bound("==", 0)
+    hints.dim(0).bound("==", -1)  # a pin no axis pool draws, but `_fit_size` keeps
+    drawer = _TensorDrawer(hints, ParamDecl("x", "input", DType.DT_INT64, "tensor"), False, None, ())
+    assert drawer.trusted  # every axis pool holds non-negative ints only
+    with pytest.raises(EngineError, match="negative extent"):
+        drawer.draw(random.Random(0))
+
+
+def test_a_range_with_only_an_upper_bound_draws_inside_it():
+    r = _Range()
+    r.bound("<", -5000000000)
+    for dtype in (DType.DT_INT64, DType.DT_FLOAT):
+        pool = _elem_pool(r, dtype, ())
+        assert pool and all(r.admits(v) for v in pool), (dtype, pool)
+
+
 def test_solve_memo_keeps_equal_but_distinct_values_apart(corpus):
     gen = GuidedGenerator(corpus, "MatrixDet")
     plans = _ExprPlans([Cmp("==", AttrRef("b"), AttrRef("a"))], {"a", "b"}, {"a": 0, "b": 1})
@@ -339,7 +441,7 @@ def test_a_float_attr_is_drawn_inside_a_bound_no_special_meets(tmp_path):
 
 
 def test_rank_and_axis_pools_keep_equal_keys_apart():
-    """Rank pool `True` and axis pool `1` share one memo, and `True == 1`."""
+    """Rank pool `True` and axis pool `1` stay apart, though `True == 1`."""
     calls = [(_rank_pool, True, [3]), (_axis_pool, 1, list(EXTENT_SPECIALS))]
     for order in (calls, calls[::-1]):
         hints = _TensorHints()

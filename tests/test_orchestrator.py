@@ -2,11 +2,14 @@
 
 import copy
 import json
+import random
 
 import pytest
 
 from opfuzz.corpus import decode_binding
+from opfuzz.generator import GuidedGenerator, generate_random
 from opfuzz.kernel.ir import DType, ParamDecl, ResourceRef, TensorVal
+from opfuzz.kernel.vm import HandleTable, execute
 from opfuzz.orchestrator import (
     CampaignConfig,
     CampaignConfigError,
@@ -219,6 +222,19 @@ def test_campaign_is_deterministic(corpus, small_guided):
     )
     again = run_campaign(corpus, cfg)
     assert render_report(again) == render_report(small_guided)
+
+
+def test_execute_leaves_its_binding_as_it_was(corpus):
+    """A binding with no resource params reaches `execute` uncopied."""
+    for spec in corpus.registry.testable:
+        gen, kernel = GuidedGenerator(corpus, spec.name), corpus.kernel_for(spec.name)
+        rng = random.Random(4)
+        for i in range(1, 11):
+            binding = gen.generate(rng, i)[0] if i % 2 else generate_random(spec, rng)
+            before = list(binding.items())
+            for mode in ("eager", "graph"):
+                execute(kernel, binding, mode, HandleTable())
+            assert len(binding) == len(before) and all(binding[k] is v for k, v in before), spec.name
 
 
 def test_unknown_op_is_a_config_error(corpus):

@@ -217,7 +217,22 @@ def test_truncating_division(a, b, q, r):
     assert trunc_div(a, b) * b + trunc_mod(a, b) == a
 
 
-# -- malformed extents --
+# -- dtypes and extents --
+
+
+def test_every_dtype_keeps_its_is_tensor_on_every_read():
+    tensors = {DType.DT_INT64, DType.DT_FLOAT, DType.DT_STRING, DType.DT_BOOL}
+    for _ in range(2):  # the first read fills the cache, the second reads it
+        assert {d: d.is_tensor for d in DType} == {d: d in tensors for d in DType}
+
+
+def test_a_trusted_tensor_equals_the_checked_one():
+    for shape, data, fill in (((2, 3), list(range(6)), None), ((), [7], None), ((0, 4), [], None), ((100, 100), None, 5)):
+        checked = TensorVal(DType.DT_INT64, shape, data=data, fill=fill)
+        trusted = TensorVal.trusted(DType.DT_INT64, shape, checked.size, data, fill)
+        assert (trusted.shape, trusted.size, trusted.data, trusted.fill, trusted.overrides) == (
+            checked.shape, checked.size, checked.data, checked.fill, checked.overrides
+        )
 
 
 def test_dense_tensor_rejects_negative_extent():
