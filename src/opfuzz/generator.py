@@ -28,12 +28,14 @@ do not change; a test pins this against that path, kept in
 candidates tested through `constraints.evaluate`, the compiled forms of
 one lowering.  Repair's first pass skips the constraints a param's solve
 already saw hold.  Each pick from a pool, and each resource state, is
-drawn with `_below(getrandbits, n)`, which gives `randrange(n)`'s value
-for the same rng consumption, without its per-call checks.
+drawn with `_below(getrandbits, n)`, inlined in `_draw`, which gives
+`randrange(n)`'s value for the same rng consumption, without its per-call
+checks.
 
 The random baseline draws straight from the rng's `getrandbits` and
 `random`, one list comprehension per element dtype (an attr's is its
-`DType.element`), without the stdlib's per-call argument checks.  Its
+`DType.element`), without the stdlib's per-call argument checks, and
+builds its tensors through `TensorVal.trusted`.  Its
 contract: the same values and the same rng consumption, in the same order,
 as drawing each rank, extent, state and length with `randrange`, each int
 with `randint(INT64_MIN, INT64_MAX)` and each float with
@@ -261,6 +263,8 @@ class _Range:
     moduli: list = field(default_factory=list)
 
     def bound(self, op: str, v):
+        """Narrow by `x op v`. A strict bound becomes the nearest value past
+        `v`: the next int, or for a float the next double."""
         if op == "==":
             self.pins.append(v)
         elif op == "!=":
@@ -268,11 +272,11 @@ class _Range:
         elif op == ">=":
             self.lo = max(self.lo, v)
         elif op == ">":
-            self.lo = max(self.lo, v + 1)
+            self.lo = max(self.lo, math.nextafter(v, _INF) if type(v) is float else v + 1)
         elif op == "<=":
             self.hi = min(self.hi, v)
         elif op == "<":
-            self.hi = min(self.hi, v - 1)
+            self.hi = min(self.hi, math.nextafter(v, -_INF) if type(v) is float else v - 1)
 
     def admits(self, v) -> bool:
         if v in self.avoids:
@@ -436,7 +440,16 @@ def _axis_pool(hints: _TensorHints, axis: int) -> list:
 
 
 def _draw(rng, pool):
-    return pool[_below(rng.getrandbits, len(pool))] if len(pool) > 1 else pool[0]
+    """A pick from `pool`: `pool[_below(rng.getrandbits, len(pool))]`,
+    inlined, or its one entry without the rng."""
+    n = len(pool)
+    if n < 2:
+        return pool[0]
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return pool[r]
 
 
 def _draws(rng, pool, n: int) -> list:
@@ -727,16 +740,20 @@ class GuidedGenerator:
                 draw = _TensorDrawer(hints, p, plan.ndim_referenced, self.control.fixture, self.string_pool).draw
             hints.drawer = draw
         resolved = plan.resolved
+        full = len(resolved)
         best, best_score = None, -1
         for _ in range(self.RETRIES):
             value = bound[name] = draw(rng)
-            score = sum(1 for e in resolved if evaluate(e, bound))
+            score = 0
+            for e in resolved:
+                if evaluate(e, bound):
+                    score += 1
             del bound[name]
+            if score == full:
+                return value, True
             if score > best_score:
                 best, best_score = value, score
-            if score == len(resolved):
-                break
-        return best, best_score == len(resolved)
+        return best, False
 
     def _draw_resource(self, rng, p) -> ResourceRef:
         wired = p.name in self.control.producers
@@ -761,24 +778,22 @@ class GuidedGenerator:
         tested it on these values, and every test passed.
         """
         plans = exprs if isinstance(exprs, _ExprPlans) else self.plans_over(list(exprs))
+        exprs, lasts = plans.exprs, plans.lasts
         for _ in range(self.REPAIR_PASSES):
-            first = next(
-                (
-                    i
-                    for i, (e, last) in enumerate(zip(plans.exprs, plans.lasts))
-                    if last not in settled and not evaluate(e, binding)
-                ),
-                None,
-            )
-            if first is None:
+            for e, target in zip(exprs, lasts):
+                if target not in settled and not evaluate(e, binding):
+                    break
+            else:
                 return True
-            target = plans.lasts[first]
             if target is None:
                 return False  # constant-false constraint; nothing to adjust
             others = {k: v for k, v in binding.items() if k != target}
             binding[target], _ = self._solve_param(rng, target, plans, others)
             settled = frozenset()
-        return all(evaluate(e, binding) for e in plans.exprs)
+        for e in exprs:
+            if not evaluate(e, binding):
+                return False
+        return True
 
     # violation probes
 
@@ -795,9 +810,12 @@ class GuidedGenerator:
             mutated = self._violate_one(rng, binding, vp, i)
             if mutated is None:
                 continue
-            others_hold = all(evaluate(e, mutated) for e in all_exprs if e is not c.expr)
-            if others_hold and not evaluate(c.expr, mutated):
-                return mutated, c
+            for e in all_exprs:
+                if e is not c.expr and not evaluate(e, mutated):
+                    break
+            else:
+                if not evaluate(c.expr, mutated):
+                    return mutated, c
         return None
 
     def _violate_one(self, rng, binding: dict, vp: _VectorPlan, i: int):
@@ -931,5 +949,10 @@ def generate_random(spec, rng) -> dict:
         else:
             rank = _below(getbits, 5)
             shape = tuple([_below(getbits, 9) for _ in range(rank)])
-            binding[p.name] = TensorVal(p.dtype, shape, data=_random_elements(rng, p.dtype, _product(shape)))
+            size = _product(shape)  # at most 8**4 elements, far below EAGER_ELEMENT_CAP
+            data = _random_elements(rng, p.dtype, size)
+            if p.dtype.is_tensor:
+                binding[p.name] = TensorVal.trusted(p.dtype, shape, size, data)
+            else:
+                binding[p.name] = TensorVal(p.dtype, shape, data=data)  # raises, as it checks the dtype
     return binding

@@ -17,20 +17,20 @@ values that have no order raises EngineError naming the kernel and opcode.
 
 Each kernel is specialised into Python once, on its first `execute`: one
 generated source, compiled and cached on the kernel (`KernelIR.compiled`),
-holds `check(b)`, the binding check; `run(b, h, g)`, that check, then in
-graph mode the prepass, then the eager run; and `prepass(b)`. Value ids
-become locals and each instruction one small template, its one semantics;
-a block with one predecessor is written inline after it, so a walk
-dispatches only on loop headers and joins. The prepass wraps the same
-template in a lifting over one extra value, unknown, as abstract
-interpretation lifts a concrete transfer function: an instruction that
-reads an unknown value or crashes writes unknown (so does a shape query
-over a value without a shape); element loads, index computations and
-resource calls are unknown, and stores and emits are skipped. Consts and
-parameter fetches written once cost nothing at run time. No corpus text
-enters the source: names, messages, entities and non-int constants are
-names in its namespace. Covered blocks are an int bitmask, and each
-distinct mask maps to one cached frozenset.
+holds `check(b)`, the binding check; `run(b, h, g, w)`, that check, then
+in graph mode the prepass, then the eager run, or the one kept in `w`;
+and `prepass(b)`. Value ids become locals and each instruction one small
+template, its one semantics; a block with one predecessor is written
+inline after it, so a walk dispatches only on loop headers and joins.
+The prepass wraps the same template in a lifting over one extra value,
+unknown, as abstract interpretation lifts a concrete transfer function:
+an instruction that reads an unknown value or crashes writes unknown (so
+does a shape query over a value without a shape); element loads, index
+computations and resource calls are unknown, and stores and emits are
+skipped. Consts and parameter fetches written once cost nothing at run
+time. No corpus text enters the source: names, messages, entities and
+non-int constants are names in its namespace. Covered blocks are an int
+bitmask, and each distinct mask maps to one cached frozenset.
 Compilation changes speed, never results: for every binding the verdict,
 the covered blocks, the outputs and their order, the crash site (its
 `instr_index` counts positions in `block.instrs`, skipped consts included),
@@ -600,19 +600,24 @@ class _Source:
         self.emit(1, "c = s = 0")
 
     def program(self) -> _Program:
-        """`check(b)`, the binding check; `run(b, h, g)`, the check, then in
-        graph mode the prepass, then the eager run; `prepass(b)`. A walk
-        that could pass its step cap goes on in `run_capped` or
-        `prepass_capped`, compiled from a source of their own on first use."""
+        """`check(b)`, the binding check; `run(b, h, g, w)`, the check, then
+        in graph mode the prepass, then the eager walk, or with a list `w`
+        the walk kept in it, walked and kept first if `w` is empty;
+        `prepass(b)`. A walk that could pass its step cap goes on in
+        `run_capped` or `prepass_capped`, compiled from a source of their
+        own on first use."""
         kernel = self.kernel
         self.emit(0, "def check(b):")
         self.check(lambda m: f"return {m}")
         self.emit(1, "return None")
-        self.emit(0, "def run(b, h, g):")
+        self.emit(0, "def run(b, h, g, w):")
         self.check(lambda m: f"return _EO(_VR({m}, {kernel.entry}), _fe)")
         self.emit(1, "if g:")
         self.emit(2, "e = _vm.shape_infer_prepass(_K, b)")  # a module global, for tracers
         self.emit(2, "if e is not None: return e")
+        self.emit(1, "if w is not None:")
+        self.emit(2, "if not w: w.append(run(b, h, False, None))")
+        self.emit(2, "return w[0]")
         if self.resources:
             self.emit(1, "r = _R(h if h is not None else _HT())")
         self.emit(1, "o = {}")
@@ -671,10 +676,21 @@ def shape_infer_prepass(kernel: KernelIR, binding: dict) -> ExecOutcome | None:
     return (kernel.compiled or _program(kernel)).prepass(binding)
 
 
-def execute(kernel: KernelIR, binding: dict, mode: str = "eager", handles: HandleTable | None = None) -> ExecOutcome:
+def execute(
+    kernel: KernelIR, binding: dict, mode: str = "eager", handles: HandleTable | None = None, walk: list | None = None
+) -> ExecOutcome:
     """Deterministic interpretation of one kernel under one binding. Graph
     mode runs `shape_infer_prepass`, looked up as a module global, before
-    the eager run."""
+    the eager run.
+
+    `walk` lets the modes of one input share the eager walk: a list, empty
+    for the first mode, that each call passes after its own binding check
+    and, in graph mode, its prepass. The first call to get past them walks
+    and keeps the outcome in `walk`; a later one returns it. So every
+    reject the check or the prepass makes still comes from the mode that
+    makes it. The caller vouches that the walk is a pure function of the
+    binding: no resource handles in it, no store into its tensors, and
+    each mode's `handles` fresh or None."""
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}")
-    return (kernel.compiled or _program(kernel)).run(binding, handles, mode == "graph")
+    return (kernel.compiled or _program(kernel)).run(binding, handles, mode == "graph", walk)

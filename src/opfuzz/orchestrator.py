@@ -201,7 +201,7 @@ class _Campaign:
         self.folded: dict = {}  # covered set -> the stats it was last noted for, reset with first_cover
         self.first_success: dict = {}  # kernel_id -> encoded binding
         self.generators: dict = {}
-        self.parts: dict = {}  # op -> (spec, kernel, resource param names)
+        self.parts: dict = {}  # op -> (spec, kernel, resource param names, whether its modes share a walk)
         self.scaffolds: dict = {}  # op -> its predecessors as (generator, kernel, resource param names)
 
     def out_of_budget(self) -> bool:
@@ -216,12 +216,18 @@ class _Campaign:
         return g
 
     def op_parts(self, op: str) -> tuple:
-        """(spec, kernel, names of the resource params), looked up once."""
+        """(spec, kernel, names of the resource params, whether its modes
+        share one eager walk), looked up once. They share it when the walk
+        is a pure function of the binding: the op takes no resource, no
+        sequence runs before it, and its kernel stores into no tensor."""
         parts = self.parts.get(op)
         if parts is None:
-            spec = self.corpus.spec_for(op)
+            spec, kernel = self.corpus.spec_for(op), self.corpus.kernel_for(op)
             resources = tuple(p.name for p in spec.params if p.container == "resource")
-            parts = self.parts[op] = (spec, self.corpus.kernel_for(op), resources)
+            seq = self.corpus.sequence_for(op)
+            shared = not resources and (seq is None or seq.ops.index(op) == 0)
+            shared = shared and all(i.opcode != "tstore" for b in kernel.blocks for i in b.instrs)
+            parts = self.parts[op] = (spec, kernel, resources, shared)
         return parts
 
     # execution plumbing
@@ -233,7 +239,7 @@ class _Campaign:
         if steps is None:
             seq = self.corpus.sequence_for(op)
             earlier = seq.ops[: seq.ops.index(op)] if seq is not None else ()
-            steps = self.scaffolds[op] = [(self.generator_for(e), *self.op_parts(e)[1:]) for e in earlier]
+            steps = self.scaffolds[op] = [(self.generator_for(e), *self.op_parts(e)[1:3]) for e in earlier]
         live: dict = {}
         for gen, kernel, resources in steps:
             binding, _ = gen.generate(rng, 1)
@@ -268,18 +274,23 @@ class _Campaign:
                 stats.own_blocks.add(key[1])
 
     def _execute(self, op: str, binding: dict, iteration: int, rng, stats: _OpStats, arm: str, counted=True, probe_of=None):
-        """One binding across all configured modes."""
-        spec, kernel, resources = self.op_parts(op)
+        """One binding across all configured modes. Modes that share a walk
+        run it at most once; each still makes its own check and prepass."""
+        spec, kernel, resources, shared = self.op_parts(op)
+        walk = [] if shared else None
         encoded = None
         outcomes = []
         for mode in self.config.modes:
-            handles = HandleTable()
-            live = self._run_scaffold(op, mode, rng, handles, iteration)
-            wired = binding  # `execute` reads its binding and never writes it
-            if resources:
-                wired = dict(binding)
-                self._wire_handles(wired, live, resources)
-            out = execute(kernel, wired, mode, handles)
+            if shared:
+                out = execute(kernel, binding, mode, None, walk)
+            else:
+                handles = HandleTable()
+                live = self._run_scaffold(op, mode, rng, handles, iteration)
+                wired = binding  # `execute` reads its binding and never writes it
+                if resources:
+                    wired = dict(binding)
+                    self._wire_handles(wired, live, resources)
+                out = execute(kernel, wired, mode, handles)
             outcomes.append(out)
             self._note_coverage(out.covered, iteration, kernel.kernel_id, stats)
             if counted:

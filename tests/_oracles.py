@@ -851,6 +851,12 @@ def reference_execute(kernel: KernelIR, binding: dict, mode: str, handles) -> Ex
     return _RefRun(kernel, binding, handles).run()
 
 
+def per_mode_execute(kernel: KernelIR, binding: dict, modes) -> list:
+    """One full `vm.execute` per mode, in order, each on a fresh handle
+    table: the outcomes a walk shared between the modes must reproduce."""
+    return [vm.execute(kernel, binding, mode, vm.HandleTable()) for mode in modes]
+
+
 # -- constraint-AST walkers ----------------------------------------------------
 #
 # The hand-written recursive walkers the traversal core in `constraints`

@@ -6,6 +6,7 @@ the entry point itself is wired.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -341,10 +342,14 @@ def test_corpus_flag_rejects_a_broken_corpus(capsys, tmp_path):
 
 
 def test_console_script_is_wired():
+    # the subprocess imports the same package as this test, installed or not
+    root = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "opfuzz.cli", "list-ops"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "descriptors" in proc.stdout

@@ -38,6 +38,7 @@ from opfuzz.generator import (
     _TensorHints,
     _axis_pool,
     _below,
+    _draw,
     _elem_pool,
     _fold_atoms,
     _fold_key,
@@ -391,6 +392,28 @@ def test_a_range_with_only_an_upper_bound_draws_inside_it():
         assert pool and all(r.admits(v) for v in pool), (dtype, pool)
 
 
+def test_strict_float_bounds_keep_the_values_between_them():
+    r = _Range()
+    r.bound(">", 0.5)
+    r.bound("<", 1.2)
+    pool = _elem_pool(r, DType.DT_FLOAT, ())
+    assert pool and all(0.5 < v < 1.2 for v in pool), pool
+    r = _Range()
+    r.bound(">", 0.5)
+    r.bound("<", 0.75)  # no special fits: the draw falls back to the lower bound
+    assert [v for v in _elem_pool(r, DType.DT_FLOAT, ()) if not 0.5 < v < 0.75] == []
+
+
+def test_a_strict_float_bound_keeps_the_specials_below_it():
+    r = _Range()
+    r.bound("<", 2.5)
+    assert 2.0 in _elem_pool(r, DType.DT_FLOAT, ())
+    r = _Range()
+    r.bound(">", 3)  # an int bound still steps to the next int
+    r.bound("<", 9)
+    assert (r.lo, r.hi) == (4, 8)
+
+
 def test_solve_memo_keeps_equal_but_distinct_values_apart(corpus):
     gen = GuidedGenerator(corpus, "MatrixDet")
     plans = _ExprPlans([Cmp("==", AttrRef("b"), AttrRef("a"))], {"a", "b"}, {"a": 0, "b": 1})
@@ -636,6 +659,16 @@ def test_below_draws_like_randrange(n):
     for seed in range(5):
         fast, ref = random.Random(seed), random.Random(seed)
         assert [_below(fast.getrandbits, n) for _ in range(200)] == [ref.randrange(n) for _ in range(200)]
+        assert fast.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 17])
+def test_draw_picks_like_randrange(n):
+    pool = [f"v{i}" for i in range(n)]
+    for seed in range(5):
+        fast, ref = random.Random(seed), random.Random(seed)
+        want = [pool[ref.randrange(n)] if n > 1 else pool[0] for _ in range(200)]
+        assert [_draw(fast, pool) for _ in range(200)] == want
         assert fast.getstate() == ref.getstate()
 
 

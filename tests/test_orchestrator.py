@@ -9,6 +9,8 @@ import pytest
 from opfuzz.corpus import decode_binding
 from opfuzz.generator import GuidedGenerator, generate_random
 from opfuzz.kernel.ir import DType, ParamDecl, ResourceRef, TensorVal
+from opfuzz import orchestrator
+from opfuzz.kernel import vm
 from opfuzz.kernel.vm import HandleTable, execute
 from opfuzz.orchestrator import (
     CampaignConfig,
@@ -22,7 +24,11 @@ from opfuzz.orchestrator import (
     run_campaign,
     summarize_report,
     write_report,
+    _Campaign,
+    _OpStats,
 )
+
+from _oracles import per_mode_execute
 
 
 class FakeSpec:
@@ -235,6 +241,69 @@ def test_execute_leaves_its_binding_as_it_was(corpus):
             for mode in ("eager", "graph"):
                 execute(kernel, binding, mode, HandleTable())
             assert len(binding) == len(before) and all(binding[k] is v for k, v in before), spec.name
+
+
+def _steps_to_walk(kernel, binding) -> str:
+    """Which step of a graph run ends it: the check, the prepass or the walk."""
+    if vm.check_binding(kernel, binding) is not None:
+        return "check"
+    return "walk" if vm.shape_infer_prepass(kernel, binding) is None else "prepass"
+
+
+@pytest.mark.parametrize("modes", [("eager", "graph"), ("graph", "eager")])
+def test_modes_sharing_a_walk_match_a_full_run_per_mode(corpus, modes):
+    """Every state-free op over guided, random and ill-typed bindings: the
+    same verdicts and covered sets as one `execute` per mode, and one walk
+    object exactly when the graph run gets past its check and prepass."""
+    campaign = _Campaign(corpus, CampaignConfig(modes=modes))
+    ends, shared_ops = set(), []
+    for spec in corpus.registry.testable:
+        kernel, shared = campaign.op_parts(spec.name)[1::2]
+        if not shared:
+            continue
+        shared_ops.append(spec.name)
+        gen, rng = GuidedGenerator(corpus, spec.name), random.Random(op_seed(11, spec.name))
+        for i in range(1, 31):
+            binding = gen.generate(rng, i)[0] if i % 2 else generate_random(spec, rng)
+            if i % 5 == 0:
+                binding[spec.params[0].name] = ResourceRef("Nope", "null")  # no param takes one
+            got = campaign._execute(spec.name, binding, i, rng, _OpStats(), "guided")
+            want = per_mode_execute(kernel, binding, modes)
+            assert [(o.verdict, o.covered) for o in got] == [(o.verdict, o.covered) for o in want], spec.name
+            end = _steps_to_walk(kernel, binding)
+            ends.add(end)
+            assert (got[0] is got[1]) == (end == "walk"), (spec.name, end)
+    assert len(shared_ops) == 17
+    assert ends == {"check", "prepass", "walk"}
+
+
+def test_an_op_with_state_runs_a_full_execute_per_mode(corpus, monkeypatch):
+    """StackPush takes a handle and runs after a scaffold: each mode gets
+    its own table and walk; Bincount's two calls pass one walk list."""
+    calls = []
+
+    def recorder(kernel, binding, mode, handles=None, walk=None):
+        calls.append((kernel.kernel_id, mode, handles, walk))
+        return execute(kernel, binding, mode, handles, walk)
+
+    monkeypatch.setattr(orchestrator, "execute", recorder)
+    campaign = _Campaign(corpus, CampaignConfig(modes=("eager", "graph")))
+    for op in ("StackPush", "Bincount"):
+        gen, rng = GuidedGenerator(corpus, op), random.Random(3)
+        calls.clear()
+        campaign._execute(op, gen.generate(rng, 1)[0], 1, rng, _OpStats(), "guided")
+        own = [c for c in calls if c[0] == corpus.kernel_for(op).kernel_id]
+        assert [c[1] for c in own] == ["eager", "graph"]
+        (_, _, eager_table, eager_walk), (_, _, graph_table, graph_walk) = own
+        if op == "StackPush":
+            assert len(calls) > 2  # the scaffold ran too
+            assert eager_walk is graph_walk is None
+            assert isinstance(eager_table, HandleTable) and isinstance(graph_table, HandleTable)
+            assert eager_table is not graph_table
+        else:
+            assert calls == own
+            assert eager_table is graph_table is None
+            assert isinstance(eager_walk, list) and eager_walk is graph_walk
 
 
 def test_unknown_op_is_a_config_error(corpus):
