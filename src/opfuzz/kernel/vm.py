@@ -17,20 +17,21 @@ values that have no order raises EngineError naming the kernel and opcode.
 
 Each kernel is specialised into Python once, on its first `execute`: one
 generated source, compiled and cached on the kernel (`KernelIR.compiled`),
-holds `check(b)`, the binding check; `run(b, h, g, w)`, that check, then
-in graph mode the prepass, then the eager run, or the one kept in `w`;
-and `prepass(b)`. Value ids become locals and each instruction one small
-template, its one semantics; a block with one predecessor is written
-inline after it, so a walk dispatches only on loop headers and joins.
-The prepass wraps the same template in a lifting over one extra value,
-unknown, as abstract interpretation lifts a concrete transfer function:
-an instruction that reads an unknown value or crashes writes unknown (so
-does a shape query over a value without a shape); element loads, index
-computations and resource calls are unknown, and stores and emits are
-skipped. Consts and parameter fetches written once cost nothing at run
-time. No corpus text enters the source: names, messages, entities and
-non-int constants are names in its namespace. Covered blocks are an int
-bitmask, and each distinct mask maps to one cached frozenset.
+holds `check(b)`, the binding check; `run(b, h, g)`, that check, then in
+graph mode the prepass, then the eager run; `share(b, h, g, w)`, the same
+check and prepass, then the eager run kept in `w`; and `prepass(b)`.
+Value ids become locals and each instruction one small template, its one
+semantics; a block with one predecessor is written inline after it, so a
+walk dispatches only on loop headers and joins. The prepass wraps the
+same template in a lifting over one extra value, unknown, as abstract
+interpretation lifts a concrete transfer function: an instruction that
+reads an unknown value or crashes writes unknown (so does a shape query
+over a value without a shape); element loads, index computations and
+resource calls are unknown, and stores and emits are skipped. Consts and
+parameter fetches written once cost nothing at run time. No corpus text
+enters the source: names, messages, entities and non-int constants are
+names in its namespace. Covered blocks are an int bitmask, and each
+distinct mask maps to one cached frozenset.
 Compilation changes speed, never results: for every binding the verdict,
 the covered blocks, the outputs and their order, the crash site (its
 `instr_index` counts positions in `block.instrs`, skipped consts included),
@@ -276,7 +277,7 @@ def _tuple(exprs) -> str:
 
 
 class _Program:
-    __slots__ = ("source", "check", "run", "prepass")
+    __slots__ = ("source", "check", "run", "share", "prepass")
 
 
 def _namespace(kernel: KernelIR, table: dict) -> dict:
@@ -599,25 +600,28 @@ class _Source:
         self.emit(1, f"cap = _vm.{'_PREPASS_STEP_CAP' if prepass else '_STEP_CAP'}")
         self.emit(1, "c = s = 0")
 
-    def program(self) -> _Program:
-        """`check(b)`, the binding check; `run(b, h, g, w)`, the check, then
-        in graph mode the prepass, then the eager walk, or with a list `w`
-        the walk kept in it, walked and kept first if `w` is empty;
-        `prepass(b)`. A walk that could pass its step cap goes on in
-        `run_capped` or `prepass_capped`, compiled from a source of their
-        own on first use."""
-        kernel = self.kernel
-        self.emit(0, "def check(b):")
-        self.check(lambda m: f"return {m}")
-        self.emit(1, "return None")
-        self.emit(0, "def run(b, h, g, w):")
-        self.check(lambda m: f"return _EO(_VR({m}, {kernel.entry}), _fe)")
+    def front(self, head: str):
+        """A function's head, the binding check, then in graph mode the prepass."""
+        self.emit(0, f"def {head}:")
+        self.check(lambda m: f"return _EO(_VR({m}, {self.kernel.entry}), _fe)")
         self.emit(1, "if g:")
         self.emit(2, "e = _vm.shape_infer_prepass(_K, b)")  # a module global, for tracers
         self.emit(2, "if e is not None: return e")
-        self.emit(1, "if w is not None:")
-        self.emit(2, "if not w: w.append(run(b, h, False, None))")
-        self.emit(2, "return w[0]")
+
+    def program(self) -> _Program:
+        """`check(b)`, the binding check; `run(b, h, g)`, the check, then in
+        graph mode the prepass, then the eager walk; `share(b, h, g, w)`,
+        the same check and prepass, then the walk kept in the list `w`,
+        which `run` walks and keeps first if `w` is empty; `prepass(b)`. A
+        walk that could pass its step cap goes on in `run_capped` or
+        `prepass_capped`, compiled from a source of their own on first use."""
+        self.emit(0, "def check(b):")
+        self.check(lambda m: f"return {m}")
+        self.emit(1, "return None")
+        self.front("share(b, h, g, w)")
+        self.emit(1, "if not w: w.append(run(b, h, False))")
+        self.emit(1, "return w[0]")
+        self.front("run(b, h, g)")
         if self.resources:
             self.emit(1, "r = _R(h if h is not None else _HT())")
         self.emit(1, "o = {}")
@@ -630,7 +634,7 @@ class _Source:
         self.walk(True, False)
         prog = _Program()
         prog.source = self.compile()
-        prog.check, prog.run, prog.prepass = self.ns["check"], self.ns["run"], self.ns["prepass"]
+        prog.check, prog.run, prog.share, prog.prepass = (self.ns[f] for f in ("check", "run", "share", "prepass"))
         return prog
 
     def capped(self) -> dict:
@@ -693,4 +697,7 @@ def execute(
     each mode's `handles` fresh or None."""
     if mode not in MODES:
         raise EngineError(f"unknown mode {mode!r}")
-    return (kernel.compiled or _program(kernel)).run(binding, handles, mode == "graph", walk)
+    prog = kernel.compiled or _program(kernel)
+    if walk is None:
+        return prog.run(binding, handles, mode == "graph")
+    return prog.share(binding, handles, mode == "graph", walk)

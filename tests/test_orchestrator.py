@@ -258,7 +258,7 @@ def test_modes_sharing_a_walk_match_a_full_run_per_mode(corpus, modes):
     campaign = _Campaign(corpus, CampaignConfig(modes=modes))
     ends, shared_ops = set(), []
     for spec in corpus.registry.testable:
-        kernel, shared = campaign.op_parts(spec.name)[1::2]
+        _, kernel, _, shared = campaign.op_parts(spec.name)
         if not shared:
             continue
         shared_ops.append(spec.name)
