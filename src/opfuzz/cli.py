@@ -69,7 +69,16 @@ class _ReportObject(dict):
 
 
 def _read_report(path: str) -> dict:
-    return json.loads(Path(path).read_text(), object_hook=lambda obj: _ReportObject(obj, path))
+    """The report at `path`, summarised once to read it through, so that a
+    file that is not a report fails here and is named."""
+    try:
+        report = json.loads(Path(path).read_text(), object_hook=lambda obj: _ReportObject(obj, path))
+        if not isinstance(report, dict):
+            raise TypeError("top level is not a JSON object")
+        summarize_report(report)
+    except (ValueError, TypeError, AttributeError) as e:
+        raise _NotAReport(f"{path}: not a report ({e})") from None
+    return report
 
 
 def _cmd_list_ops(corpus) -> int:

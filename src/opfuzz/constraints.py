@@ -61,7 +61,7 @@ from functools import lru_cache
 
 from .kernel import vm
 from .kernel.ir import INT64_MAX, INT64_MIN, TensorVal
-from .kernel.parser import Tokens, token_pattern
+from .kernel.parser import ARITH_LEVELS, Tokens, token_pattern
 from .kernel.vm import _CMP, _CrashSignal, _bin_op
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -311,7 +311,7 @@ def _int_typed(e) -> bool:
     if t is Lit:
         return type(e.value) is int
     if t is Arith:
-        return e.op in _PREC and _int_typed(e.left) and _int_typed(e.right)
+        return e.op in ARITH_LEVELS and _int_typed(e.left) and _int_typed(e.right)
     return t is Var or t is Ndim or t is Size or t is Dim
 
 
@@ -558,14 +558,11 @@ def render(expr) -> str:
     raise ConstraintError(f"cannot render {expr!r}")
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
-
-
 def _render_operand(child, parent_op: str, right: bool = False) -> str:
     """Parenthesize a child the left-associative grammar would regroup: one
     of lower precedence, or on the right one of equal precedence."""
     text = render(child)
-    if isinstance(child, Arith) and _PREC[child.op] < _PREC[parent_op] + right:
+    if isinstance(child, Arith) and ARITH_LEVELS[child.op] < ARITH_LEVELS[parent_op] + right:
         return f"({text})"
     return text
 
@@ -680,18 +677,7 @@ class _ExprParser(Tokens):
         return Cmp(self.next()[1], left, self.parse_arith())
 
     def parse_arith(self):
-        left = self.parse_term()
-        while self.at("op", "+", "-"):
-            op = self.next()[1]
-            left = Arith(op, left, self.parse_term())
-        return left
-
-    def parse_term(self):
-        left = self.parse_factor()
-        while self.at("op", "*", "/", "%"):
-            op = self.next()[1]
-            left = Arith(op, left, self.parse_factor())
-        return left
+        return self.climb("op", ARITH_LEVELS, self.parse_factor, lambda tok, left, right: Arith(tok[1], left, right))
 
     def parse_factor(self):
         k, v, *_ = self.peek()

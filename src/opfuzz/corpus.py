@@ -248,7 +248,12 @@ def load_corpus(root: Path | str | None = None) -> Corpus:
         raise CorpusError(f"missing {manifest_path.name} under {root}")
     import json
 
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as e:
+        raise CorpusError(f"manifest.json is not JSON ({e})") from None
+    if not isinstance(manifest, dict):
+        raise CorpusError("manifest.json is not a JSON object")
     for key in ("census", "modes", "kernel_blocks", "bugs", "thresholds"):
         if key not in manifest:
             raise CorpusError(f"manifest.json lacks required key {key!r}")

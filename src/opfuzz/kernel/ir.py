@@ -213,14 +213,15 @@ class Block:
 
 
 # -- structured region skeleton (built during lowering) ----------------------
+# A region keeps what the extractor reads: a require its condition, the block
+# whose branch it is and its message; an if its guard, its block and the
+# regions of each arm; a loop its counter, its bounds and its body's regions.
 
 
 @dataclass
 class RequireRegion:
     cond_id: int
     block: int  # block holding the branch
-    fail_block: int
-    cont_block: int
     message: str
 
 
@@ -230,9 +231,6 @@ class IfRegion:
     block: int
     then_regions: list = field(default_factory=list)
     else_regions: list = field(default_factory=list)
-    then_block: int = -1
-    else_block: int | None = None
-    join_block: int = -1
 
 
 @dataclass
@@ -240,9 +238,6 @@ class LoopRegion:
     var_id: int
     lo_id: int
     hi_id: int
-    header_block: int
-    body_block: int
-    exit_block: int
     body_regions: list = field(default_factory=list)
 
 

@@ -16,7 +16,10 @@ Source form:
 
 `scan` is the one scanner and `Tokens` the one cursor of all four input
 grammars: kernels here, operator descriptors (`registry`), test scripts
-(`corpus`) and constraint text (`constraints`).
+(`corpus`) and constraint text (`constraints`).  `Tokens.climb` is the one
+precedence climber of both expression grammars, kernels and constraint
+text, and `ARITH_LEVELS` their one arithmetic table, by which
+`constraints.render` also parenthesises.
 
 Lowering is mechanical: `require` becomes a conditional branch to a
 require_fail block, `if` a diamond, `for` a counted loop whose latch
@@ -54,6 +57,10 @@ ATTR_TYPES = {"int": DType.INT, "float": DType.FLOAT, "string": DType.STRING, "b
 _SCALAR_TYPES = {DType.DT_INT64: "int", DType.DT_FLOAT: "float", DType.DT_STRING: "str", DType.DT_BOOL: "bool"}
 
 RESOURCE_VERBS = ("New", "Push", "Pop", "Close", "Find", "Remove")
+
+# binary operator -> level, tighter operators higher; every level is left-associative
+ARITH_LEVELS = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
+_LOGIC_LEVELS = {"or": 1, "and": 2}
 
 
 _SKIP = r"(?:[ \t\r\n]+|#[^\n]*)*"
@@ -132,6 +139,21 @@ class Tokens:
         tok = tok or self.peek()
         raise self.error(message, *line_col(self.text, tok[2]))
 
+    def climb(self, kind: str, levels: dict, operand, combine, floor: int = 1):
+        """Operands parsed by `operand()` between `kind` tokens whose value
+        is an operator of `levels` ({operator: level}) at `floor` or above,
+        folded left-associatively by `combine(tok, left, right)`.  The right
+        side of an operator climbs from one level above its own, so an
+        operand costs one call however many levels the table has."""
+        left = operand()
+        while True:
+            tok = self.toks[self.pos]
+            level = levels.get(tok[1], 0) if tok[0] == kind else 0
+            if level < floor:
+                return left
+            self.pos += 1
+            left = combine(tok, left, self.climb(kind, levels, operand, combine, level + 1))
+
 
 _TOKENS = token_pattern(
     r'(?P<float>\d+\.\d+)|(?P<int>\d+)|(?P<str>"[^"\n]*")|(?P<ident>[A-Za-z_]\w*)'
@@ -156,10 +178,8 @@ class _Lowerer(Tokens):
         self.next_val = 0
         self.params: list[ParamDecl] = []
         self.outputs: list[tuple[str, DType]] = []
-        self.param_ids: dict[str, int] = {}
-        self.param_types: dict[str, str] = {}
-        # lexical scopes of locals: name -> (value_id, type)
-        self.scopes: list[dict[str, tuple[int, str]]] = []
+        # lexical scopes, name -> (value_id, type): the parameters, then locals
+        self.scopes: list[dict[str, tuple[int, str]]] = [{}]
 
     # -- value/block plumbing --
 
@@ -188,15 +208,13 @@ class _Lowerer(Tokens):
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
-        if name in self.param_ids:
-            return self.param_ids[name], self.param_types[name]
         self.fail(f"use of undefined name {name!r}", tok)
 
     def define_local(self, name: str, vid: int, type_: str, tok):
-        if name in self.param_ids:
-            self.fail(f"cannot reassign parameter {name!r}", tok)
         for scope in self.scopes:
             if name in scope:
+                if scope is self.scopes[0]:
+                    self.fail(f"cannot reassign parameter {name!r}", tok)
                 self.fail(f"{name!r} already assigned (locals are single-assignment)", tok)
         self.scopes[-1][name] = (vid, type_)
 
@@ -206,18 +224,15 @@ class _Lowerer(Tokens):
         self.expect("ident", "kernel")
         kernel_id = self.expect("ident")
         self.expect("punct", "{")
+        self.cur = self.new_block()
         while self.at("ident", "input", "attr", "output"):
             self.parse_decl()
-        if not self.blocks:
-            self.cur = self.new_block()
-        self.prologue()
         self.scopes.append({})
         regions = self.parse_stmts(end="}")
         self.expect("punct", "}")
         if not self.at("eof"):
             self.fail("trailing content after kernel body")
-        if self.cur.terminator is None:
-            self.cur.terminator = ("ret",)
+        self.cur.terminator = ("ret",)
         self.check_terminators()
         return KernelIR(kernel_id, self.params, self.outputs, self.blocks, regions)
 
@@ -233,12 +248,14 @@ class _Lowerer(Tokens):
                 self.fail(f"duplicate output {name!r}", name_tok)
             self.outputs.append((name, dtype))
             return
-        if name in self.param_ids:
+        if name in self.scopes[0]:
             self.fail(f"duplicate parameter {name!r}", name_tok)
+        vid = self.new_val()
         if kind == "attr":
             if dtype not in ATTR_TYPES.values():
                 self.fail("attrs must have scalar type", name_tok)
             decl = ParamDecl(name, "attr", dtype, "scalar")
+            self.append("get_attr", vid, (name,))
         else:
             if dtype is DType.DT_RESOURCE:
                 decl = ParamDecl(name, "input", dtype, "resource", entity=entity)
@@ -246,9 +263,10 @@ class _Lowerer(Tokens):
                 decl = ParamDecl(name, "input", dtype, "tensor")
             else:
                 self.fail("inputs must be tensor or resource typed", name_tok)
+            self.append("get_input", vid, (sum(p.role == "input" for p in self.params),), name=name)
+        # each parameter is fetched where it is declared, ahead of the body: the taint seeds
         self.params.append(decl)
-        self.param_ids[name] = -1  # assigned in prologue
-        self.param_types[name] = type_str
+        self.scopes[0][name] = (vid, type_str)
 
     def parse_type(self):
         tok = self.peek()
@@ -269,18 +287,6 @@ class _Lowerer(Tokens):
             return ATTR_TYPES[word], _SCALAR_TYPES[ATTR_TYPES[word].element], None
         self.fail(f"unknown type {word!r}", tok)
 
-    def prologue(self):
-        """Fetch every declared parameter up front; these are the taint seeds."""
-        idx = 0
-        for p in self.params:
-            vid = self.new_val()
-            if p.role == "input":
-                self.append("get_input", vid, (idx,), name=p.name)
-                idx += 1
-            else:
-                self.append("get_attr", vid, (p.name,))
-            self.param_ids[p.name] = vid
-
     # -- statements --
 
     def parse_stmts(self, end: str) -> list:
@@ -289,6 +295,15 @@ class _Lowerer(Tokens):
             if self.at("eof"):
                 self.fail(f"expected {end!r} before end of input")
             regions.extend(self.parse_stmt())
+        return regions
+
+    def parse_body(self, scope: dict) -> list:
+        """The regions of a braced body whose locals start as `scope`."""
+        self.expect("punct", "{")
+        self.scopes.append(scope)
+        regions = self.parse_stmts(end="}")
+        self.scopes.pop()
+        self.expect("punct", "}")
         return regions
 
     def parse_stmt(self) -> list:
@@ -314,24 +329,20 @@ class _Lowerer(Tokens):
     def parse_require(self) -> RequireRegion:
         self.next()
         cond_tok = self.peek()
-        conds = [(self.parse_expr(), cond_tok)]
+        cid, ctype = self.parse_expr()
         self.expect("punct", ",")
-        msg_tok = self.peek()
-        if msg_tok[0] != "str":
+        if not self.at("str"):
             self.fail("require needs a message string")
         msg = self.next()[1]
         self.expect("punct", ";")
-        cid, ctype = conds[0][0]
         if ctype != "bool":
-            self.fail("require condition must be boolean", conds[0][1])
+            self.fail("require condition must be boolean", cond_tok)
         src = self.cur
         fail = self.new_block()
         fail.terminator = ("require_fail", msg)
-        cont = self.new_block()
-        src.terminator = ("br", cid, cont.bid, fail.bid, "require")
-        region = RequireRegion(cid, src.bid, fail.bid, cont.bid, msg)
-        self.cur = cont
-        return region
+        self.cur = self.new_block()
+        src.terminator = ("br", cid, self.cur.bid, fail.bid, "require")
+        return RequireRegion(cid, src.bid, msg)
 
     def parse_if(self) -> IfRegion:
         self.next()
@@ -341,35 +352,19 @@ class _Lowerer(Tokens):
             self.fail("if condition must be boolean", guard_tok)
         src = self.cur
         region = IfRegion(gid, src.bid)
-        then_blk = self.new_block()
-        region.then_block = then_blk.bid
-        self.cur = then_blk
-        self.expect("punct", "{")
-        self.scopes.append({})
-        region.then_regions = self.parse_stmts(end="}")
-        self.scopes.pop()
-        self.expect("punct", "}")
-        then_end = self.cur
-        else_end = None
+        self.cur = then_blk = self.new_block()
+        region.then_regions = self.parse_body({})
+        ends = [self.cur]
+        else_blk = None
         if self.at("ident", "else"):
             self.next()
-            else_blk = self.new_block()
-            region.else_block = else_blk.bid
-            self.cur = else_blk
-            self.expect("punct", "{")
-            self.scopes.append({})
-            region.else_regions = self.parse_stmts(end="}")
-            self.scopes.pop()
-            self.expect("punct", "}")
-            else_end = self.cur
-        join = self.new_block()
-        region.join_block = join.bid
-        src.terminator = ("br", gid, region.then_block, region.else_block if region.else_block is not None else join.bid, "if")
-        if then_end.terminator is None:
-            then_end.terminator = ("jmp", join.bid)
-        if else_end is not None and else_end.terminator is None:
-            else_end.terminator = ("jmp", join.bid)
-        self.cur = join
+            self.cur = else_blk = self.new_block()
+            region.else_regions = self.parse_body({})
+            ends.append(self.cur)
+        self.cur = join = self.new_block()
+        src.terminator = ("br", gid, then_blk.bid, (else_blk or join).bid, "if")
+        for end in ends:
+            end.terminator = ("jmp", join.bid)
         return region
 
     def parse_for(self) -> LoopRegion:
@@ -394,22 +389,15 @@ class _Lowerer(Tokens):
         src = self.cur
         header = self.new_block()
         src.terminator = ("jmp", header.bid)
-        body = self.new_block()
-        self.cur = body
-        self.expect("punct", "{")
-        self.scopes.append({var: (var_id, "int")})
-        body_regions = self.parse_stmts(end="}")
-        self.scopes.pop()
-        self.expect("punct", "}")
-        last_body = self.cur
-        last_body.instrs.append(Instruction("bin", var_id, ("+", var_id, one), {"loop_latch": True}))
-        last_body.terminator = ("jmp", header.bid)
-        exit_blk = self.new_block()
+        self.cur = body = self.new_block()
+        body_regions = self.parse_body({var: (var_id, "int")})
+        self.cur.instrs.append(Instruction("bin", var_id, ("+", var_id, one), {"loop_latch": True}))
+        self.cur.terminator = ("jmp", header.bid)
+        self.cur = self.new_block()
         cond_id = self.new_val()
         header.instrs.append(Instruction("cmp", cond_id, ("<", var_id, hi_id), {}))
-        header.terminator = ("br", cond_id, body.bid, exit_blk.bid, "loop")
-        self.cur = exit_blk
-        return LoopRegion(var_id, lo_id, hi_id, header.bid, body.bid, exit_blk.bid, body_regions)
+        header.terminator = ("br", cond_id, body.bid, self.cur.bid, "loop")
+        return LoopRegion(var_id, lo_id, hi_id, body_regions)
 
     def parse_emit(self):
         self.next()
@@ -494,25 +482,10 @@ class _Lowerer(Tokens):
     # -- expressions (returns (value_id, type)) --
 
     def parse_expr(self):
-        return self.parse_or()
+        return self.climb("ident", _LOGIC_LEVELS, self.parse_not, self._logic)
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("ident", "or"):
-            tok = self.next()
-            right = self.parse_and()
-            left = self._logic("or", left, right, tok)
-        return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.at("ident", "and"):
-            tok = self.next()
-            right = self.parse_not()
-            left = self._logic("and", left, right, tok)
-        return left
-
-    def _logic(self, op, left, right, tok):
+    def _logic(self, tok, left, right):
+        op = tok[1]
         if left[1] != "bool" or right[1] != "bool":
             self.fail(f"{op} needs boolean operands", tok)
         dst = self.new_val()
@@ -531,11 +504,11 @@ class _Lowerer(Tokens):
         return self.parse_cmp()
 
     def parse_cmp(self):
-        left = self.parse_add()
+        left = self.parse_arith()
         if self.at("punct", "==", "!=", "<", "<=", ">", ">="):
             tok = self.next()
             v = tok[1]
-            right = self.parse_add()
+            right = self.parse_arith()
             lt, rt = left[1], right[1]
             if lt != rt:
                 self.fail(f"cannot compare {lt} with {rt}", tok)
@@ -548,26 +521,15 @@ class _Lowerer(Tokens):
             return dst, "bool"
         return left
 
-    def parse_add(self):
-        left = self.parse_mul()
-        while self.at("punct", "+", "-"):
-            tok = self.next()
-            left = self._arith(tok[1], left, self.parse_mul(), tok)
-        return left
+    def parse_arith(self):
+        return self.climb("punct", ARITH_LEVELS, self.parse_unary, self._arith)
 
-    def parse_mul(self):
-        left = self.parse_unary()
-        while self.at("punct", "*", "/", "%"):
-            tok = self.next()
-            left = self._arith(tok[1], left, self.parse_unary(), tok)
-        return left
-
-    def _arith(self, op, left, right, tok):
+    def _arith(self, tok, left, right):
         lt, rt = left[1], right[1]
         if lt != rt or lt not in ("int", "float"):
             self.fail(f"arithmetic needs matching numeric operands, got {lt} and {rt}", tok)
         dst = self.new_val()
-        self.append("bin", dst, (op, left[0], right[0]))
+        self.append("bin", dst, (tok[1], left[0], right[0]))
         return dst, lt
 
     def parse_unary(self):

@@ -251,6 +251,23 @@ def test_report_on_a_file_that_is_not_a_report(capsys, tmp_path):
     assert err == f"error: {path}: not a report (missing key 'config')\n"
 
 
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "top level is not a JSON object"),
+        ('{"config": 3}', "'int' object is not subscriptable"),
+    ],
+    ids=["not-json", "not-an-object", "wrong-type"],
+)
+def test_report_on_a_malformed_file(capsys, tmp_path, text, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "report", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not a report ({reason})\n"
+
+
 # ----------------------------------------------------------------- compare
 
 
@@ -320,6 +337,16 @@ def test_compare_names_the_file_that_is_not_a_report(capsys, tmp_path, report_pa
     assert err == f"error: {doctored}: not a report (missing key 'checkpoints')\n"
 
 
+def test_compare_names_the_report_whose_key_has_the_wrong_type(capsys, tmp_path, report_pair):
+    doc = json.loads(report_pair["random"].read_text())
+    doc["operators"] = []
+    doctored = tmp_path / "operator_list.json"
+    doctored.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "compare", "--guided", str(report_pair["guided"]), "--random", str(doctored))
+    assert (code, out) == (1, "")
+    assert err == f"error: {doctored}: not a report ('list' object has no attribute 'items')\n"
+
+
 def test_compare_missing_file(capsys, tmp_path, report_pair):
     code, _, err = run_cli(
         capsys, "compare", "--guided", str(report_pair["guided"]), "--random", str(tmp_path / "gone.json")
@@ -339,6 +366,16 @@ def test_corpus_flag_rejects_a_broken_corpus(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--corpus", str(root), "list-ops")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("text", ["{bad", "3"], ids=["not-json", "not-an-object"])
+def test_corpus_flag_rejects_a_malformed_manifest(capsys, tmp_path, text):
+    root = tmp_path / "corpus"
+    shutil.copytree(BUNDLED, root)
+    (root / "manifest.json").write_text(text)
+    code, out, err = run_cli(capsys, "--corpus", str(root), "list-ops")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: manifest.json is not")
 
 
 def test_console_script_is_wired():

@@ -273,6 +273,20 @@ def test_parse_rejects_garbage(text):
         parse_constraint(text)
 
 
+def test_constraint_arithmetic_is_left_associative_by_precedence():
+    n, m, k = AttrRef("n"), AttrRef("m"), AttrRef("k")
+    assert parse_constraint("n - m - k == 0") == Cmp("==", Arith("-", Arith("-", n, m), k), Lit(0))
+    assert parse_constraint("n + m * k == 0") == Cmp("==", Arith("+", n, Arith("*", m, k)), Lit(0))
+    assert parse_constraint("n / m % k == 0") == Cmp("==", Arith("%", Arith("/", n, m), k), Lit(0))
+    assert parse_constraint("-n * m == 0") == Cmp("==", Arith("*", Arith("-", Lit(0), n), m), Lit(0))
+
+
+@pytest.mark.parametrize("text", ["n == m == k", "n < m < k"])
+def test_constraint_comparisons_do_not_chain(text):
+    with pytest.raises(ConstraintError, match="trailing tokens after constraint"):
+        parse_constraint(text)
+
+
 def test_render_keeps_right_grouping():
     grouped, flat = parse_constraint("n - (m - k) == 0"), parse_constraint("n - m - k == 0")
     assert render(grouped) == "n - (m - k) == 0"

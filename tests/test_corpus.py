@@ -118,6 +118,16 @@ def test_missing_manifest_key_is_fatal(tmp_path):
         load_corpus(write_corpus(tmp_path, manifest=broken))
 
 
+@pytest.mark.parametrize(
+    "text,what", [("{bad", "is not JSON"), ("3", "is not a JSON object")], ids=["not-json", "not-an-object"]
+)
+def test_malformed_manifest_is_fatal(tmp_path, text, what):
+    root = write_corpus(tmp_path)
+    (root / "manifest.json").write_text(text)
+    with pytest.raises(CorpusError, match=f"manifest.json {what}"):
+        load_corpus(root)
+
+
 def test_sequence_with_unknown_op_is_fatal(tmp_path):
     test = 'test "T" { seq Mini Ghost; }\n'
     with pytest.raises(CorpusError, match="Ghost"):

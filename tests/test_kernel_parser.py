@@ -160,3 +160,51 @@ kernel FloatKernel {
     assert any(c == 0.0 and isinstance(c, float) for c in consts)
     negations = [inst for b in kern.blocks for inst in b.instrs if inst.opcode == "bin" and inst.args[0] == "-"]
     assert len(negations) == 2
+
+
+# -- precedence and associativity --
+
+
+def _expr_shape(expr: str):
+    """The tree `t = expr;` lowers to, read back off its instructions: an
+    attr by name, a constant by value, an operator as (op, *operands)."""
+    kern = parse_kernel(
+        "kernel K { attr a : int; attr b : int; attr c : int;"
+        f" attr x : bool; attr y : bool; attr z : bool; t = {expr}; }}"
+    )
+    defs = def_map(kern)
+
+    def shape(vid):
+        inst = defs[vid]
+        if inst.opcode in ("get_attr", "const"):
+            return inst.args[0]
+        return (inst.args[0], *(shape(v) for v in inst.args[1:] if v is not None))
+
+    return shape(kern.blocks[0].instrs[-1].dst)
+
+
+@pytest.mark.parametrize(
+    "expr,want",
+    [
+        ("a - b - c", ("-", ("-", "a", "b"), "c")),
+        ("a + b * c", ("+", "a", ("*", "b", "c"))),
+        ("a * b + c", ("+", ("*", "a", "b"), "c")),
+        ("a / b % c", ("%", ("/", "a", "b"), "c")),
+        ("a - (b - c)", ("-", "a", ("-", "b", "c"))),
+        ("-a * b", ("*", ("-", 0, "a"), "b")),
+        ("a + b < c * a", ("<", ("+", "a", "b"), ("*", "c", "a"))),
+        ("x or y and z", ("or", "x", ("and", "y", "z"))),
+        ("x and y or z", ("or", ("and", "x", "y"), "z")),
+        ("x or y or z", ("or", ("or", "x", "y"), "z")),
+        ("not x and y", ("and", ("not", "x"), "y")),
+        ("a < b or x", ("or", ("<", "a", "b"), "x")),
+    ],
+)
+def test_kernel_expression_precedence(expr, want):
+    assert _expr_shape(expr) == want
+
+
+@pytest.mark.parametrize("expr", ["a == b == c", "a < b < c"])
+def test_kernel_comparisons_do_not_chain(expr):
+    with pytest.raises(KernelParseError, match=r"expected ';', got '[=<]+'"):
+        _expr_shape(expr)
