@@ -69,13 +69,18 @@ class _ReportObject(dict):
 
 
 def _read_report(path: str) -> dict:
-    """The report at `path`, summarised once to read it through, so that a
-    file that is not a report fails here and is named."""
+    """The report at `path`, summarised once to read it through and the numbers
+    `compare_reports` orders checked, so that a file that is not a report fails here."""
     try:
         report = json.loads(Path(path).read_text(), object_hook=lambda obj: _ReportObject(obj, path))
         if not isinstance(report, dict):
             raise TypeError("top level is not a JSON object")
         summarize_report(report)
+        entries = [s for arms in report["operators"].values() for s in arms.values()]
+        ordered = [(k, s[k]) for s in entries for k in ("inter_param_constraints", "logical_constraints", "coverage_blocks")]
+        for key, v in ordered + [(f"timeline {k}", v) for k, values in report["timeline"].items() for v in values]:
+            if type(v) not in (int, float):
+                raise TypeError(f"{key} holds {v!r}, not a number")
     except (ValueError, TypeError, AttributeError) as e:
         raise _NotAReport(f"{path}: not a report ({e})") from None
     return report

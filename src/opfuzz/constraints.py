@@ -37,7 +37,7 @@ checked inline against the int64 range, and every other operation goes
 through `_arith`.  A `Forall` becomes a `for` loop; where its variable only
 ever is a whole val() index, a range over 10,000 loops over the indices
 `_probes` picks instead, one per distinct element.  Any other `Forall`
-walks at most `vm._STEP_CAP` indices and is false over a longer range:
+is false, before its first index, over a range longer than `vm._STEP_CAP`:
 a check that cannot be made is false, and the kernel's own loop, which
 runs at least one step per index, has hit that step cap first.  A range
 just under the cap whose kernel loop takes several steps per index can
@@ -434,9 +434,10 @@ class _Lowering:
             for bound, code in ((e.lo, lo), (e.hi, hi)):
                 if not _int_typed(bound):
                     self.fail_if(f"not isinstance({code}, int)")
-            capped = not _var_only_in_val_indices(e.body, e.var)
-            if capped:
-                span = f"range({lo}, min({hi}, {lo} + _vm._STEP_CAP))"
+            if not _var_only_in_val_indices(e.body, e.var):
+                # a range the kernel could not walk within its step cap either
+                self.fail_if(f"{hi} - {lo} > _vm._STEP_CAP")
+                span = f"range({lo}, {hi})"
             else:
                 whole = (Var(e.var),)
                 params = self.const(tuple(a.param for a in nodes(e.body) if type(a) is Val and a.idxs == whole))
@@ -447,8 +448,6 @@ class _Lowering:
             self.pad += "    "
             self.pred(e.body, {**scope, ("var", e.var): v})
             self.pad = self.pad[:-4]
-            if capped:  # a range the kernel could not walk within its step cap either
-                self.fail_if(f"{hi} - {lo} > _vm._STEP_CAP")
         elif t is Unliftable or (t is Lit and isinstance(e.value, bool)):
             # an opaque check cannot guide anything: assume it satisfiable
             self.emit("return False" if t is Lit and not e.value else "pass")

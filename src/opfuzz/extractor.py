@@ -58,15 +58,13 @@ def seed_sources(kernel: KernelIR) -> dict:
     return seeds
 
 
-def propagate_taint(kernel: KernelIR, seeds: dict | None = None) -> dict:
+def propagate_taint(kernel: KernelIR) -> dict:
     """Flow-insensitive forward fixpoint over every instruction.
 
     tstore taints the stored-into tensor value, so stores feed back into
     later loads from the same value id; iteration continues until stable.
     """
-    if seeds is None:
-        seeds = seed_sources(kernel)
-    taint: dict[int, set] = {vid: set(names) for vid, names in seeds.items()}
+    taint: dict[int, set] = {vid: set(names) for vid, names in seed_sources(kernel).items()}
 
     def get(vid) -> set:
         return taint.get(vid, set())

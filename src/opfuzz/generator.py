@@ -84,6 +84,7 @@ EXTENT_SPECIALS = (0, 1, 2, 7, 1048576)
 FLOAT_SPECIALS = (1.0, 0.0, -1.0, 0.5, 2.0, 1000000000.0)
 STRING_DEFAULTS = ("", "a", "ab")
 WINDOW = 8
+CHOICE_VECTOR_CAP = 16  # guard-choice vectors per template: the 2**n product is cut here
 DENSE_ELEMENT_LIMIT = 64
 RANDOM_STRING_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
 
@@ -163,8 +164,8 @@ def build_control_template(corpus, op: str) -> ControlTemplate:
     )
 
 
-def _choice_vectors(n_guards: int, cap: int = 16) -> tuple:
-    return tuple(itertools.islice(itertools.product((True, False), repeat=n_guards), cap))
+def _choice_vectors(n_guards: int) -> tuple:
+    return tuple(itertools.islice(itertools.product((True, False), repeat=n_guards), CHOICE_VECTOR_CAP))
 
 
 def build_data_template(corpus, op: str) -> DataTemplate:

@@ -1,57 +1,1 @@
 """Micro-kernel execution engine: IR, parser/lowering, and interpreter."""
-
-from .ir import (
-    CRASH_KINDS,
-    EAGER_ELEMENT_CAP,
-    INT64_MAX,
-    INT64_MIN,
-    Block,
-    Crash,
-    DType,
-    EngineError,
-    ExecOutcome,
-    IfRegion,
-    Instruction,
-    KernelIR,
-    LoopRegion,
-    ParamDecl,
-    RequireRegion,
-    ResourceRef,
-    Success,
-    TensorVal,
-    ValidationReject,
-)
-from .parser import KernelParseError, def_map, parse_kernel, tokenize
-from .vm import MODES, HandleTable, execute, shape_infer_prepass, trunc_div, trunc_mod
-
-__all__ = [
-    "CRASH_KINDS",
-    "EAGER_ELEMENT_CAP",
-    "INT64_MAX",
-    "INT64_MIN",
-    "MODES",
-    "Block",
-    "Crash",
-    "DType",
-    "EngineError",
-    "ExecOutcome",
-    "HandleTable",
-    "IfRegion",
-    "Instruction",
-    "KernelIR",
-    "KernelParseError",
-    "LoopRegion",
-    "ParamDecl",
-    "RequireRegion",
-    "ResourceRef",
-    "Success",
-    "TensorVal",
-    "ValidationReject",
-    "def_map",
-    "execute",
-    "parse_kernel",
-    "shape_infer_prepass",
-    "tokenize",
-    "trunc_div",
-    "trunc_mod",
-]

@@ -276,19 +276,6 @@ def dedup_operators(specs: list[OpSpec]) -> list[OpGroup]:
     return groups
 
 
-def group_by_kernel(specs: list[OpSpec], known_kernels: set | None = None) -> dict[str, list[str]]:
-    """Partition deduplicated operator names by backend kernel."""
-    groups = dedup_operators([s for s in specs if s.kernel_id is not None])
-    out: dict[str, list[str]] = {}
-    for g in groups:
-        if known_kernels is not None and g.kernel_id not in known_kernels:
-            raise DescriptorError(f"operator {g.name!r} binds unknown kernel {g.kernel_id!r}")
-        out.setdefault(g.kernel_id, []).append(g.name)
-    for names in out.values():
-        names.sort()
-    return out
-
-
 VERB_LEXICON = frozenset(
     {
         "Close",
@@ -348,7 +335,14 @@ class Registry:
     specs: list[OpSpec]
     tree: ModuleTree
     groups: list[OpGroup]
-    kernel_groups: dict[str, list[str]]
+
+    @cached_property
+    def kernel_groups(self) -> dict[str, list[str]]:
+        """Sorted operator names by backend kernel; built on first use."""
+        out: dict[str, list[str]] = {}
+        for g in self.groups:
+            out.setdefault(g.kernel_id, []).append(g.name)
+        return {k: sorted(names) for k, names in out.items()}
 
     @cached_property
     def by_name(self) -> dict[str, OpGroup]:
@@ -368,6 +362,4 @@ def build_registry(specs: list[OpSpec]) -> Registry:
             log.warning("operator %s is frontend-only (no kernel); excluded from campaigns", spec.dotted)
     tree = build_module_tree(specs)
     bound = [s for s in specs if s.kernel_id is not None]
-    groups = dedup_operators(bound)
-    kernel_groups = group_by_kernel(bound)
-    return Registry(specs, tree, groups, kernel_groups)
+    return Registry(specs, tree, dedup_operators(bound))

@@ -347,6 +347,31 @@ def test_compare_names_the_report_whose_key_has_the_wrong_type(capsys, tmp_path,
     assert err == f"error: {doctored}: not a report ('list' object has no attribute 'items')\n"
 
 
+@pytest.mark.parametrize(
+    "field,value,reason",
+    [
+        ("inter_param_constraints", "x", "inter_param_constraints holds 'x', not a number"),
+        ("coverage_blocks", "x", "coverage_blocks holds 'x', not a number"),
+        ("logical_constraints", None, "logical_constraints holds None, not a number"),
+        ("timeline", [1], "timeline blocks holds [1], not a number"),
+    ],
+    ids=["inter-param", "coverage", "logical", "timeline"],
+)
+def test_compare_names_the_report_whose_count_is_not_a_number(capsys, tmp_path, report_pair, field, value, reason):
+    for strategy in ("guided", "random"):
+        doc = json.loads(report_pair[strategy].read_text())
+        if field == "timeline":
+            doc["timeline"]["blocks"][0] = value
+        else:
+            doc["operators"]["MatrixDet"][strategy][field] = value
+        doctored = tmp_path / f"{strategy}.json"
+        doctored.write_text(json.dumps(doc))
+        paths = {**report_pair, strategy: doctored}
+        code, out, err = run_cli(capsys, "compare", "--guided", str(paths["guided"]), "--random", str(paths["random"]))
+        assert (code, out) == (1, "")
+        assert err == f"error: {doctored}: not a report ({reason})\n"
+
+
 def test_compare_missing_file(capsys, tmp_path, report_pair):
     code, _, err = run_cli(
         capsys, "compare", "--guided", str(report_pair["guided"]), "--random", str(tmp_path / "gone.json")

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import logging
 import sys
+import time
 import tokenize
 from unittest import mock
 
@@ -155,6 +156,14 @@ def test_forall_past_the_step_cap_is_false(monkeypatch):
     for m, want in ((INT64_MAX, False), (1001, False), (1000, True)):
         assert evaluate(expr, {"m": m}) is want
         assert reference_evaluate(expr, {"m": m}) is want
+
+
+def test_forall_past_the_real_step_cap_fails_before_walking():
+    # the range is checked against the cap first, so an over-cap range costs no index
+    expr = Forall("i", Lit(0), AttrRef("m"), Cmp("<=", Var("i"), AttrRef("m")))
+    start = time.perf_counter()
+    assert evaluate(expr, {"m": INT64_MAX}) is False
+    assert time.perf_counter() - start < 0.2
 
 
 # -- tree evaluation --

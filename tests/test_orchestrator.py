@@ -187,14 +187,20 @@ def test_report_shape(small_guided):
         assert stats["coverage_blocks"] <= stats["total_blocks"]
 
 
-def test_probe_accounting(small_guided):
-    stats = small_guided["operators"]["MatrixDet"]["guided"]
-    assert stats["probes"]["issued"] == 6
-    assert (
-        stats["probes"]["rejected"] + stats["probes"]["crashed"] + stats["probes"]["passed"]
-        == stats["probes"]["issued"]
-    )
-    assert stats["probes"]["rejected"] == 6  # probes precede every crash site here
+@pytest.fixture(scope="module")
+def two_mode_guided(corpus):
+    cfg = CampaignConfig(seed=42, iterations=60, modes=("eager", "graph"), strategy="guided", ops=("MatrixDet",))
+    return run_campaign(corpus, cfg)
+
+
+def test_probe_accounting(small_guided, two_mode_guided):
+    # `issued` counts probe inputs; the three outcomes count one per mode each input runs in
+    for report in (small_guided, two_mode_guided):
+        probes = report["operators"]["MatrixDet"]["guided"]["probes"]
+        runs = probes["issued"] * len(report["config"]["modes"])
+        assert probes["issued"] == 6
+        assert probes["rejected"] + probes["crashed"] + probes["passed"] == runs
+        assert probes["rejected"] == runs  # probes precede every crash site here
 
 
 def test_timeline_is_monotonic(small_guided):

@@ -7,7 +7,6 @@ from opfuzz.registry import (
     build_module_tree,
     build_registry,
     dedup_operators,
-    group_by_kernel,
     parse_opspecs,
 )
 
@@ -88,12 +87,6 @@ def test_conflicting_redeclaration_is_rejected():
     conflict = DUPLICATE.replace('name: "x"', 'name: "z"', 1)
     with pytest.raises(DescriptorError, match="reused"):
         dedup_operators(parse_opspecs(conflict))
-
-
-def test_group_by_kernel_rejects_unknown_kernel():
-    specs = parse_opspecs(DUPLICATE)
-    with pytest.raises(DescriptorError, match="unknown kernel"):
-        group_by_kernel(specs, known_kernels={"OtherKernel"})
 
 
 def test_corpus_contains_one_true_duplicate_pair(corpus):
