@@ -32,23 +32,31 @@ drawn with `_below(getrandbits, n)`, inlined in `_draw`, which gives
 `randrange(n)`'s value for the same rng consumption, without its per-call
 checks.
 
-The random baseline draws straight from the rng's `getrandbits` and
-`random`, one list comprehension per element dtype (an attr's is its
+The random baseline draws from the rng's `getrandbits`, `randbytes` and
+`random`, once per element dtype of a tensor or attr (an attr's is its
 `DType.element`), without the stdlib's per-call argument checks, and
-builds its tensors through `TensorVal.trusted`.  Its
-contract: the same values and the same rng consumption, in the same order,
-as drawing each rank, extent, state and length with `randrange`, each int
-with `randint(INT64_MIN, INT64_MAX)` and each float with
-`uniform(-1e18, 1e18)` on a `random.Random`.  A test pins this against a
-reference that makes those stdlib calls.
+builds its tensors through `TensorVal.trusted`.  Its contract, in order:
+each resource state, rank, extent, string length and bool is `randrange`'s
+value for the same rng consumption (through `_below`), and each float is
+`uniform(-1e18, 1e18)`.  A tensor's or attr's n int64s are one
+`randbytes(8 * n)` read as n signed little-endian 64-bit ints, exactly
+uniform over `[INT64_MIN, INT64_MAX]`.  Its n strings draw every length
+first, then their characters from `randbytes` chunks: each chunk is
+`randbytes(total - have)`, `have` counting the characters kept so far,
+and each byte b below 222 = 6 * 37 keeps `RANDOM_STRING_CHARS[b % 37]`
+while the rest are dropped, so each character is uniform over the 37.  The
+chunks go on until `have` reaches the total, and the strings are sliced
+off in order.  A test pins this against a reference that draws each value
+with plain per-value code.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .constraints import (
     ATOM_TYPES,
@@ -76,7 +84,7 @@ from .constraints import (
     toposort_params,
     value_of,
 )
-from .kernel.ir import DType, INT64_MAX, INT64_MIN, ResourceRef, TensorVal, _product
+from .kernel.ir import DType, ResourceRef, TensorVal, _product
 
 # value pools; order is fixed so campaigns are reproducible
 INT_SPECIALS = (0, 1, -1, 2, 7, 1048576, 2147483647, 2147483649, -2147483648)
@@ -890,8 +898,10 @@ def _clone_tensor(t: TensorVal) -> TensorVal:
 # -- random baseline --
 
 _RESOURCE_STATES = ("null", "fresh", "filled", "closed")
-_CHAR_COUNT = len(RANDOM_STRING_CHARS)
-_CHAR_BITS = _CHAR_COUNT.bit_length()
+# bytes.translate maps byte b to RANDOM_STRING_CHARS[b % 37] and deletes the
+# bytes from 222 = 6 * 37 up, so each character keeps exactly 6 byte values
+_CHAR_TABLE = bytes(ord(RANDOM_STRING_CHARS[b % len(RANDOM_STRING_CHARS)]) for b in range(256))
+_CHAR_REJECTS = bytes(range(222, 256))
 
 
 def _below(getbits, n: int) -> int:
@@ -903,35 +913,34 @@ def _below(getbits, n: int) -> int:
     return r
 
 
-def _random_int64(getbits) -> int:
-    """`randint(INT64_MIN, INT64_MAX)`: `_below(getbits, 2**64)`, inlined."""
-    r = getbits(65)
-    while r >= 2**64:
-        r = getbits(65)
-    return INT64_MIN + r
+@cache  # n is a tensor's size, at most 8**4, so the memo stays small
+def _int64s_unpacker(n: int):
+    return struct.Struct(f"<{n}q").unpack
 
 
-def _random_string(getbits) -> str:
-    chars = []
-    for _ in range(_below(getbits, 17)):
-        r = getbits(_CHAR_BITS)
-        while r >= _CHAR_COUNT:
-            r = getbits(_CHAR_BITS)
-        chars.append(RANDOM_STRING_CHARS[r])
-    return "".join(chars)
+def _random_strings(rng, n: int) -> list:
+    """n strings: every length, then their characters in the chunks the module docstring sets."""
+    getbits = rng.getrandbits
+    lengths = [_below(getbits, 17) for _ in range(n)]
+    total = sum(lengths)
+    chars = b""
+    while len(chars) < total:
+        chars += rng.randbytes(total - len(chars)).translate(_CHAR_TABLE, _CHAR_REJECTS)
+    text = chars.decode("ascii")
+    return [text[end - k : end] for k, end in zip(lengths, itertools.accumulate(lengths))]
 
 
 def _random_elements(rng, dtype: DType, size: int) -> list:
-    getbits = rng.getrandbits
     if dtype is DType.DT_INT64:
-        return [_random_int64(getbits) for _ in range(size)]
+        return list(_int64s_unpacker(size)(rng.randbytes(8 * size)))
     if dtype is DType.DT_FLOAT:
         # uniform(-1e18, 1e18); the span 2e18 is exact in a double
         random = rng.random
         return [-1e18 + 2e18 * random() for _ in range(size)]
     if dtype is DType.DT_STRING:
-        return [_random_string(getbits) for _ in range(size)]
+        return _random_strings(rng, size)
     if dtype is DType.DT_BOOL:
+        getbits = rng.getrandbits
         return [_below(getbits, 2) == 1 for _ in range(size)]
     if size:
         raise ValueError(f"no random element for {dtype}")

@@ -14,7 +14,6 @@ import time
 import zlib
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .constraints import classify_constraints, params_of, render
 from .corpus import Corpus, encode_binding
@@ -440,10 +439,6 @@ def run_campaign(corpus: Corpus, config: CampaignConfig) -> dict:
 
 def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def write_report(report: dict, path: Path | str):
-    Path(path).write_text(render_report(report))
 
 
 # -- report inspection and comparison --

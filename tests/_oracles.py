@@ -4,7 +4,7 @@ Each oracle recomputes a result the package also computes, by a different
 route: per-seed graph reachability instead of a named-set fixpoint for
 taint, an explicit pairwise tournament instead of a keyed min() for call
 paths, exhaustive small-domain enumeration for generation soundness,
-the stdlib `random` calls the random baseline's direct bit draws replace,
+the random baseline's values drawn one at a time in place of its bulk draws,
 the per-pick guided draw the per-plan tensor drawers replaced,
 a plain instruction-by-instruction interpreter for the compiled VM,
 the per-node-type constraint walkers and arithmetic that the expression
@@ -328,39 +328,56 @@ def enumerate_bindings(kernel: KernelIR):
                 yield b
 
 
-# -- random baseline through the stdlib calls ----------------------------------
+# -- random baseline, one value at a time ---------------------------------------
 
 
-def _reference_string(rng) -> str:
-    n = rng.randrange(17)
-    return "".join(RANDOM_STRING_CHARS[rng.randrange(len(RANDOM_STRING_CHARS))] for _ in range(n))
+def _reference_int64(rng) -> int:
+    return int.from_bytes(rng.randbytes(8), "little", signed=True)
 
 
-def _reference_element(rng, dtype: DType):
+def _reference_strings(rng, n: int) -> list:
+    """Every length first, then characters from chunks of total - have bytes."""
+    lengths = [rng.randrange(17) for _ in range(n)]
+    total = sum(lengths)
+    chars = []
+    while len(chars) < total:
+        for b in rng.randbytes(total - len(chars)):
+            if b < 222:
+                chars.append(RANDOM_STRING_CHARS[b % 37])
+    strings = []
+    for k in lengths:
+        strings.append("".join(chars[:k]))
+        del chars[:k]
+    return strings
+
+
+def _reference_elements(rng, dtype: DType, size: int) -> list:
     if dtype is DType.DT_INT64:
-        return rng.randint(INT64_MIN, INT64_MAX)
+        return [_reference_int64(rng) for _ in range(size)]
     if dtype is DType.DT_FLOAT:
-        return rng.uniform(-1e18, 1e18)
+        return [rng.uniform(-1e18, 1e18) for _ in range(size)]
     if dtype is DType.DT_STRING:
-        return _reference_string(rng)
+        return _reference_strings(rng, size)
     if dtype is DType.DT_BOOL:
-        return rng.randrange(2) == 1
-    raise ValueError(f"no random element for {dtype}")
+        return [rng.randrange(2) == 1 for _ in range(size)]
+    if size:
+        raise ValueError(f"no random element for {dtype}")
+    return []
 
 
 def reference_generate_random(spec, rng) -> dict:
-    """The random baseline drawn with randrange/randint/uniform, one call per value."""
+    """The random baseline drawn with randrange, randbytes and uniform, one value at a time."""
     binding = {}
     for p in spec.params:
         if p.container == "resource":
             binding[p.name] = ResourceRef(p.entity, ("null", "fresh", "filled", "closed")[rng.randrange(4)])
         elif p.role == "attr":
             if p.dtype is DType.INT:
-                binding[p.name] = rng.randint(INT64_MIN, INT64_MAX)
+                binding[p.name] = _reference_int64(rng)
             elif p.dtype is DType.FLOAT:
                 binding[p.name] = rng.uniform(-1e18, 1e18)
             elif p.dtype is DType.STRING:
-                binding[p.name] = _reference_string(rng)
+                binding[p.name] = _reference_strings(rng, 1)[0]
             else:
                 binding[p.name] = rng.randrange(2) == 1
         else:
@@ -369,7 +386,7 @@ def reference_generate_random(spec, rng) -> dict:
             size = 1
             for e in shape:
                 size *= e
-            data = [_reference_element(rng, p.dtype) for _ in range(size)]
+            data = _reference_elements(rng, p.dtype, size)
             binding[p.name] = TensorVal(p.dtype, shape, data=data)
     return binding
 

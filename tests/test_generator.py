@@ -1,5 +1,6 @@
 """Guided and random input generation: templates, solving, probes, repair."""
 
+import collections
 import dataclasses
 import math
 import random
@@ -31,6 +32,9 @@ from opfuzz.corpus import encode_binding, load_corpus
 from opfuzz.generator import (
     EXTENT_SPECIALS,
     GuidedGenerator,
+    RANDOM_STRING_CHARS,
+    _CHAR_REJECTS,
+    _CHAR_TABLE,
     _DEAD,
     _ExprPlans,
     _Range,
@@ -42,6 +46,7 @@ from opfuzz.generator import (
     _elem_pool,
     _fold_atoms,
     _fold_key,
+    _random_strings,
     _rank_pool,
     _substitute_bound,
     _choice_vectors,
@@ -50,7 +55,7 @@ from opfuzz.generator import (
     describe_templates,
     generate_random,
 )
-from opfuzz.kernel.ir import DType, EngineError, ParamDecl, ResourceRef, TensorVal
+from opfuzz.kernel.ir import INT64_MAX, INT64_MIN, DType, EngineError, ParamDecl, ResourceRef, TensorVal
 from opfuzz.kernel.vm import HandleTable, execute
 from opfuzz.registry import OpSpec, camel_tokens, cluster_entities
 
@@ -672,6 +677,17 @@ def test_draw_picks_like_randrange(n):
         assert fast.getstate() == ref.getstate()
 
 
+def _check_random_element(v, dtype):
+    if dtype in (DType.DT_INT64, DType.INT):
+        assert type(v) is int and INT64_MIN <= v <= INT64_MAX
+    elif dtype in (DType.DT_FLOAT, DType.FLOAT):
+        assert type(v) is float and -1e18 <= v <= 1e18
+    elif dtype in (DType.DT_STRING, DType.STRING):
+        assert type(v) is str and 0 <= len(v) <= 16 and set(v) <= set(RANDOM_STRING_CHARS)
+    else:
+        assert type(v) is bool
+
+
 def test_random_draws_stay_in_documented_ranges(corpus):
     spec = corpus.spec_for("Bincount")
     rng = random.Random(23)
@@ -683,6 +699,34 @@ def test_random_draws_stay_in_documented_ranges(corpus):
                 assert all(0 <= e <= 8 for e in v.shape)
             elif isinstance(v, ResourceRef):
                 assert v.state in ("null", "fresh", "filled", "closed")
+    params = [p for k, p in sorted(_RANDOM_KINDS.items()) if k != "resource"]
+    spec = _synthetic_spec(params)
+    for _ in range(300):
+        binding = generate_random(spec, rng)
+        for p in params:
+            v = binding[p.name]
+            if p.role == "attr":
+                _check_random_element(v, p.dtype)
+            else:
+                assert 0 <= v.rank <= 4 and all(0 <= e <= 8 for e in v.shape)
+                assert len(v.data) == v.size
+                for e in v.data:
+                    _check_random_element(e, p.dtype)
+    strings = _random_strings(rng, 20_000)
+    for v in strings:
+        _check_random_element(v, DType.DT_STRING)
+    counts = collections.Counter("".join(strings))
+    assert sorted(counts) == sorted(RANDOM_STRING_CHARS)
+    expected = sum(counts.values()) / len(RANDOM_STRING_CHARS)
+    assert all(abs(c - expected) < 0.15 * expected for c in counts.values())
+
+
+def test_char_table_keeps_six_byte_values_per_character():
+    assert len(RANDOM_STRING_CHARS) == 37
+    kept = bytes(range(256)).translate(_CHAR_TABLE, _CHAR_REJECTS).decode("ascii")
+    assert kept == "".join(RANDOM_STRING_CHARS[b % 37] for b in range(222))
+    assert collections.Counter(kept) == {c: 6 for c in RANDOM_STRING_CHARS}
+    assert sorted(_CHAR_REJECTS) == list(range(222, 256))
 
 
 def test_random_mostly_violates_inter_param_ops(corpus):

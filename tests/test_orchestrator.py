@@ -23,7 +23,6 @@ from opfuzz.orchestrator import (
     render_report,
     run_campaign,
     summarize_report,
-    write_report,
     _Campaign,
     _OpStats,
 )
@@ -326,10 +325,8 @@ def test_budget_truncates_and_marks_report(corpus):
     assert code == 1 and "truncated" in lines[0]
 
 
-def test_write_report_is_canonical_json(tmp_path, small_guided):
-    path = tmp_path / "r.json"
-    write_report(small_guided, path)
-    text = path.read_text()
+def test_render_report_is_canonical_json(small_guided):
+    text = render_report(small_guided)
     assert text.endswith("\n")
     assert json.loads(text) == small_guided
     assert text == json.dumps(small_guided, indent=2, sort_keys=True) + "\n"

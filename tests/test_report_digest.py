@@ -14,8 +14,8 @@ from opfuzz.orchestrator import CampaignConfig, render_report, run_campaign
 
 DIGESTS = {
     "guided": "5e971e0c21bdf75c9ea692e56c3808cd3bf30f76bf0eec27c83b8baf4a9d8138",
-    "random": "c92b4eb66348e29d4b795c9c4f9a5d17754746c50bc9201e469de2c88bf2b805",
-    "both": "e16c5c2f39169083b81c3a96e09d3472282d85415e5baa9f16a102897e9f9d10",
+    "random": "beff60c374bd5fd9b44689bd690299e7547c2e605dd4a82ed4842acc3652730e",
+    "both": "423d42ebeef58d479112d9f5a4622956c4fe68ef8fb8ea92510cc6391573a45b",
 }
 
 
